@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "../tests/KnnReference.h"
 #include "BenchCommon.h"
 #include "knn/TypeMap.h"
 #include "support/Rng.h"
@@ -92,14 +93,16 @@ int main() {
     auto T0 = std::chrono::steady_clock::now();
     std::vector<NeighborList> Truth(static_cast<size_t>(NumQ));
     for (int Q = 0; Q != NumQ; ++Q)
-      Truth[static_cast<size_t>(Q)] = Exact.queryLegacy(Qs.data() + Q * D, K);
+      Truth[static_cast<size_t>(Q)] =
+          referenceKnn(Map, Qs.data() + Q * D, K);
     double LegacyUs = secondsSince(T0) / NumQ * 1e6;
     T.addRow({strformat("%d", N), "exact legacy", "-",
               strformat("%.1f", LegacyUs), "-", "1.000", "1.00x"});
 
     // Blocked exact: same bits, tiled through the marker store.
     T0 = std::chrono::steady_clock::now();
-    auto Blocked1 = Exact.queryBatch(Qs.data(), NumQ, K, /*MaxWays=*/1);
+    auto Blocked1 = Exact.queryBatch(Qs.data(), NumQ, K, /*Budget=*/0,
+                                    /*MaxWays=*/1);
     double Blocked1Us = secondsSince(T0) / NumQ * 1e6;
     T0 = std::chrono::steady_clock::now();
     auto BlockedMt = Exact.queryBatch(Qs.data(), NumQ, K);

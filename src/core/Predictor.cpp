@@ -12,30 +12,6 @@
 
 using namespace typilus;
 
-const char *typilus::knnIndexName(KnnIndexKind K) {
-  switch (K) {
-  case KnnIndexKind::Exact:
-    return "exact";
-  case KnnIndexKind::Annoy:
-    return "annoy";
-  case KnnIndexKind::Hnsw:
-    return "hnsw";
-  }
-  return "exact";
-}
-
-bool typilus::parseKnnIndexKind(std::string_view Name, KnnIndexKind *Out) {
-  if (Name == "exact")
-    *Out = KnnIndexKind::Exact;
-  else if (Name == "annoy")
-    *Out = KnnIndexKind::Annoy;
-  else if (Name == "hnsw")
-    *Out = KnnIndexKind::Hnsw;
-  else
-    return false;
-  return true;
-}
-
 /// Microseconds elapsed since \p T0 (stats counters; never affects
 /// results).
 static uint64_t microsSince(std::chrono::steady_clock::time_point T0) {
@@ -159,27 +135,21 @@ void Predictor::writeArtifact(ArchiveWriter &W, const TypeUniverse &U) const {
                                                     : "tmq8");
     Map->save(W, TypeIds);
     W.endChunk();
-    if (Annoy) {
-      // The built forest ships with the markers, so serving processes
-      // skip the index rebuild entirely.
-      W.beginChunk("anny");
-      Annoy->save(W);
-      W.endChunk();
-    }
-    if (Hnsw) {
-      // Same deal for the HNSW graph (version-3 chunk).
-      W.beginChunk("hnsw");
-      Hnsw->save(W);
+    // The built index ships with the markers, so serving processes skip
+    // the rebuild entirely.
+    if (const char *Tag = Index->chunkTag()) {
+      W.beginChunk(Tag);
+      Index->save(W);
       W.endChunk();
     }
   }
 }
 
 uint32_t Predictor::artifactVersion() const {
-  if (IsKnn && Hnsw)
-    return 3;
-  bool Quantized = IsKnn && Map && Map->store() != MarkerStore::F32;
-  return Quantized ? 2 : 1;
+  if (!IsKnn)
+    return 1;
+  uint32_t StoreVersion = Map->store() != MarkerStore::F32 ? 2 : 1;
+  return std::max(StoreVersion, Index->formatVersion());
 }
 
 bool Predictor::save(const std::string &Path, const TypeUniverse &U,
@@ -255,27 +225,9 @@ std::unique_ptr<Predictor> Predictor::load(const ArchiveReader &R,
       *Err = "type-map dimensionality does not match the model";
     return nullptr;
   }
-  if (R.hasChunk("anny")) {
-    ArchiveCursor AC = R.chunk("anny", Err);
-    P->Annoy = AnnoyIndex::load(AC, *P->Map, Err);
-    if (!P->Annoy)
-      return nullptr;
-  } else if (P->Knn.Index == KnnIndexKind::Annoy && P->Map->size() > 0) {
-    if (Err)
-      *Err = "invalid artifact: missing chunk 'anny'";
+  P->Index = loadIndex(P->Knn.Index, R, *P->Map, Err);
+  if (!P->Index)
     return nullptr;
-  }
-  if (R.hasChunk("hnsw")) {
-    ArchiveCursor HC = R.chunk("hnsw", Err);
-    P->Hnsw = HnswIndex::load(HC, *P->Map, Err);
-    if (!P->Hnsw)
-      return nullptr;
-  } else if (P->Knn.Index == KnnIndexKind::Hnsw && P->Map->size() > 0) {
-    if (Err)
-      *Err = "invalid artifact: missing chunk 'hnsw'";
-    return nullptr;
-  }
-  P->Exact = std::make_unique<ExactIndex>(*P->Map);
   return P;
 }
 
@@ -293,26 +245,18 @@ std::unique_ptr<Predictor> Predictor::load(const std::string &Path,
 
 void Predictor::rebuildIndex() {
   assert(Map && "kNN predictor without a type map");
-  if (Knn.Index == KnnIndexKind::Annoy && Map->size() > 0)
-    Annoy = std::make_unique<AnnoyIndex>(*Map, /*NumTrees=*/8,
-                                         /*LeafSize=*/16, /*Seed=*/0xA220,
-                                         Knn.NumThreads);
-  else
-    Annoy.reset(); // also drops a stale forest when switching away
-  if (Knn.Index == KnnIndexKind::Hnsw && Map->size() > 0)
-    Hnsw = std::make_unique<HnswIndex>(*Map, /*M=*/16,
-                                       /*EfConstruction=*/128,
-                                       /*Seed=*/0x45317, Knn.NumThreads);
-  else
-    Hnsw.reset();
-  Exact = std::make_unique<ExactIndex>(*Map);
+  Index = buildIndex(Knn.Index, *Map, Knn.NumThreads);
 }
 
 void Predictor::setKnnOptions(const KnnOptions &O) {
   // EfSearch is a query-time knob; only an index *kind* change forces a
-  // rebuild.
+  // rebuild. Store and MaxMarkers describe how the map was built and
+  // cannot change here.
   bool NeedRebuild = O.Index != Knn.Index;
+  KnnOptions Built = Knn;
   Knn = O;
+  Knn.Store = Built.Store;
+  Knn.MaxMarkers = Built.MaxMarkers;
   if (NeedRebuild && IsKnn)
     rebuildIndex();
 }
@@ -341,9 +285,9 @@ bool Predictor::setMarkerStore(MarkerStore S, std::string *Err) {
 
 void Predictor::addMarker(const float *Embedding, TypeRef T) {
   assert(IsKnn && "markers only apply to kNN predictors");
-  // No index rebuild: rows appended after the forest was built are
-  // answered by queryNeighbors' exact delta scan until the next
-  // compaction (or explicit rebuild) folds them in.
+  // No index rebuild: rows appended after the index was built are
+  // answered by its exact delta scan until the next compaction (or
+  // explicit rebuild) folds them in.
   Map->add(Embedding, T);
 }
 
@@ -380,46 +324,6 @@ static void fillIdentity(PredictionResult &R, const FileExample &File,
 
 std::vector<PredictionResult> Predictor::predictFile(const FileExample &File) {
   return std::move(predictBatch({&File}).front());
-}
-
-std::vector<NeighborList> Predictor::queryNeighbors(const float *Qs,
-                                                    int64_t NumQ) {
-  std::vector<NeighborList> Neigh;
-  size_t From = 0;
-  if (Knn.Index == KnnIndexKind::Annoy && Annoy) {
-    Neigh = Annoy->queryBatch(Qs, NumQ, Knn.K, /*SearchK=*/-1,
-                              Knn.NumThreads);
-    From = Annoy->indexedMarkers();
-  } else if (Knn.Index == KnnIndexKind::Hnsw && Hnsw) {
-    Neigh = Hnsw->queryBatch(Qs, NumQ, Knn.K,
-                             Knn.EfSearch > 0 ? Knn.EfSearch : -1,
-                             Knn.NumThreads);
-    From = Hnsw->indexedMarkers();
-  } else {
-    return Exact->queryBatch(Qs, NumQ, Knn.K, Knn.NumThreads);
-  }
-  // Rows appended after the index was built are invisible to it; an
-  // exact scan over that delta merges into each answer under the same
-  // (distance, index) order the indexes use, so folding the delta into a
-  // rebuilt index would change no bits.
-  if (From < Map->size()) {
-    const int64_t D = Map->dim();
-    for (int64_t Q = 0; Q != NumQ; ++Q) {
-      NeighborList &L = Neigh[static_cast<size_t>(Q)];
-      const float *Query = Qs + Q * D;
-      for (size_t I = From; I != Map->size(); ++I)
-        if (Map->isLive(I))
-          L.emplace_back(static_cast<int>(I), Map->l1DistanceTo(Query, I));
-      std::sort(L.begin(), L.end(), [](const auto &A, const auto &B) {
-        if (A.second != B.second)
-          return A.second < B.second;
-        return A.first < B.first;
-      });
-      if (L.size() > static_cast<size_t>(Knn.K))
-        L.resize(static_cast<size_t>(Knn.K));
-    }
-  }
-  return Neigh;
 }
 
 std::vector<std::vector<PredictionResult>>
@@ -473,7 +377,8 @@ Predictor::annotateIncremental(const std::string &Path,
     //    kernel predictBatch uses.
     auto KnnT0 = std::chrono::steady_clock::now();
     std::vector<NeighborList> Neigh =
-        queryNeighbors(E.data(), static_cast<int64_t>(Targets.size()));
+        Index->queryBatch(E.data(), static_cast<int64_t>(Targets.size()),
+                          Knn.K, Knn.EfSearch, Knn.NumThreads);
     KnnMicros += microsSince(KnnT0);
     Out.reserve(Targets.size());
     for (size_t I = 0; I != Targets.size(); ++I) {
@@ -491,7 +396,7 @@ Predictor::annotateIncremental(const std::string &Path,
                  Targets[I]->Type, Path);
   }
   // 5. Amortized compaction: only past the policy ratio do tombstones get
-  //    dropped and the forest rebuilt (over the live rows only).
+  //    dropped and the index rebuilt (over the live rows only).
   maybeCompact();
   return Out;
 }
@@ -570,7 +475,8 @@ Predictor::predictBatch(const std::vector<const FileExample *> &Files) {
         Queries.insert(Queries.end(), Embs[I].data(),
                        Embs[I].data() + Embs[I].numel());
     auto KnnT0 = std::chrono::steady_clock::now();
-    std::vector<NeighborList> Neigh = queryNeighbors(Queries.data(), NumQ);
+    std::vector<NeighborList> Neigh = Index->queryBatch(
+        Queries.data(), NumQ, Knn.K, Knn.EfSearch, Knn.NumThreads);
     KnnMicros += microsSince(KnnT0);
     size_t Row = 0;
     for (size_t F = 0; F != N; ++F)

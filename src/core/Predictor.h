@@ -79,17 +79,6 @@ struct PredictionResult {
   }
 };
 
-/// Which index answers τmap queries. The numeric values are the
-/// serialized pred-chunk encoding (the byte that historically held the
-/// UseAnnoy bool, so exact/Annoy artifacts keep identical bytes) —
-/// append only.
-enum class KnnIndexKind : uint8_t { Exact = 0, Annoy = 1, Hnsw = 2 };
-
-/// "exact" | "annoy" | "hnsw" (CLI flags, `inspect` output, bench labels).
-const char *knnIndexName(KnnIndexKind K);
-/// Parses knnIndexName()'s strings; \returns false on anything else.
-bool parseKnnIndexKind(std::string_view Name, KnnIndexKind *Out);
-
 /// kNN settings for the type-map predictor (Eq. 5).
 struct KnnOptions {
   int K = 10;
@@ -111,16 +100,18 @@ struct KnnOptions {
   /// Marker storage format. Applied once by Predictor::knn after the map
   /// is filled (subsample, then quantize, then build the index); on a
   /// loaded predictor it reflects the artifact's actual store. Changing
-  /// it through setKnnOptions has no effect — quantization is one-way.
+  /// it through setKnnOptions has no effect — quantization is one-way
+  /// (see Predictor::setMarkerStore).
   MarkerStore Store = MarkerStore::F32;
   /// Caps the τmap at this many markers via coreset subsampling before
-  /// quantization (0 = keep every marker).
+  /// quantization (0 = keep every marker). Build-time only, like Store:
+  /// setKnnOptions keeps the value the map was built with.
   size_t MaxMarkers = 0;
   /// Editor-loop compaction policy: once more than this fraction of the
   /// τmap's rows are tombstones (markers retired by annotateIncremental /
   /// removeMarkersForFile), the map is compacted and the index rebuilt
   /// over the live rows. Below the threshold mutation never touches the
-  /// forest — removals are tombstones the queries skip, additions are
+  /// index — removals are tombstones the queries skip, additions are
   /// covered by an exact delta scan. <= 0 disables automatic compaction.
   double CompactRatio = 0.25;
 };
@@ -227,7 +218,7 @@ public:
 
   /// Adds a marker to the τmap without retraining — the open-vocabulary
   /// adaptation of Sec. 4.2. The row is appended without rebuilding the
-  /// forest; queries cover it through the exact delta scan until the next
+  /// index; queries cover it through the exact delta scan until the next
   /// compaction or rebuild.
   void addMarker(const float *Embedding, TypeRef T);
 
@@ -254,10 +245,14 @@ public:
   uint64_t embedMicros() const { return EmbedMicros; }
   uint64_t knnMicros() const { return KnnMicros; }
   const TypeMap &typeMap() const { return *Map; }
-  /// The live HNSW graph, or nullptr when another index kind is active —
-  /// `inspect` reads the build parameters off it.
-  const HnswIndex *hnswIndex() const { return Hnsw.get(); }
+  /// The index answering τmap queries (null for classifiers). Its engine
+  /// follows KnnOptions::Index, except that an empty map is always served
+  /// by the exact scan (see buildIndex).
+  const KnnIndex *knnIndex() const { return Index.get(); }
   const KnnOptions &knnOptions() const { return Knn; }
+  /// Applies the query-time and policy fields of \p O, rebuilding the
+  /// index when the kind changes. The build-time fields (Store,
+  /// MaxMarkers) keep describing the map as built.
   void setKnnOptions(const KnnOptions &O);
 
   /// Quantizes the τmap to \p S and rebuilds the index — the CLI's
@@ -272,11 +267,6 @@ private:
   explicit Predictor(TypeModel &Model) : Model(&Model) {}
   Predictor() = default;
   void rebuildIndex();
-  /// The one kNN probe every prediction path shares: the forest (or the
-  /// exact index), plus an exact scan over rows appended after the forest
-  /// was built, merged under the same (distance, index) order. Skips
-  /// tombstones throughout. \p Qs holds \p NumQ rows of dim() floats.
-  std::vector<NeighborList> queryNeighbors(const float *Qs, int64_t NumQ);
   /// Applies KnnOptions::CompactRatio (compact + rebuild when exceeded).
   void maybeCompact();
 
@@ -289,9 +279,7 @@ private:
   bool IsKnn = false;
   KnnOptions Knn;
   std::unique_ptr<TypeMap> Map;
-  std::unique_ptr<AnnoyIndex> Annoy;
-  std::unique_ptr<HnswIndex> Hnsw;
-  std::unique_ptr<ExactIndex> Exact;
+  std::unique_ptr<KnnIndex> Index;
   uint64_t EmbedCalls = 0;
   uint64_t EmbedMicros = 0;
   uint64_t KnnMicros = 0;

@@ -659,25 +659,117 @@ bool TypeMap::load(ArchiveCursor &C, const std::vector<TypeRef> &ById,
 // kNN indexes
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// The one neighbour order every index agrees on: (distance, index)
-/// ascending — a *total* order (indices are distinct), so the top-k set
-/// and its sorted layout are uniquely determined however they were
-/// selected. That is what makes the blocked bounded-heap engine
-/// bit-identical to the historical partial_sort.
-inline bool neighborLess(const std::pair<int, float> &A,
-                         const std::pair<int, float> &B) {
-  if (A.second != B.second)
-    return A.second < B.second;
-  return A.first < B.first;
+const char *typilus::knnIndexName(KnnIndexKind K) {
+  switch (K) {
+  case KnnIndexKind::Exact:
+    return "exact";
+  case KnnIndexKind::Annoy:
+    return "annoy";
+  case KnnIndexKind::Hnsw:
+    return "hnsw";
+  }
+  return "exact";
 }
+
+bool typilus::parseKnnIndexKind(std::string_view Name, KnnIndexKind *Out) {
+  for (KnnIndexKind K :
+       {KnnIndexKind::Exact, KnnIndexKind::Annoy, KnnIndexKind::Hnsw})
+    if (Name == knnIndexName(K)) {
+      *Out = K;
+      return true;
+    }
+  return false;
+}
+
+//===----------------------------------------------------------------------===//
+// The shared query path and the kind factory
+//===----------------------------------------------------------------------===//
+
+std::vector<NeighborList> KnnIndex::queryBatch(const float *Qs,
+                                               int64_t NumQueries, int K,
+                                               int Budget, int MaxWays) const {
+  std::vector<NeighborList> Results =
+      queryIndexed(Qs, NumQueries, K, Budget, MaxWays);
+  // Rows appended after the build are invisible to the engine; an exact
+  // scan over that delta merges into each answer under neighborLess, the
+  // order every engine ranks by, so folding the delta into a rebuilt
+  // index would change no bits.
+  const size_t From = indexedMarkers();
+  const size_t Keep = static_cast<size_t>(std::max(K, 0));
+  const int64_t D = Map.dim();
+  if (From < Map.size())
+    for (int64_t Q = 0; Q != NumQueries; ++Q) {
+      NeighborList &L = Results[static_cast<size_t>(Q)];
+      for (size_t I = From; I != Map.size(); ++I)
+        if (Map.isLive(I))
+          L.emplace_back(static_cast<int>(I), Map.l1DistanceTo(Qs + Q * D, I));
+      std::sort(L.begin(), L.end(), neighborLess);
+      if (L.size() > Keep)
+        L.resize(Keep);
+    }
+  return Results;
+}
+
+NeighborList KnnIndex::query(const float *Q, int K, int Budget) const {
+  return std::move(queryBatch(Q, 1, K, Budget, /*MaxWays=*/1).front());
+}
+
+std::unique_ptr<KnnIndex> typilus::buildIndex(KnnIndexKind Kind,
+                                              const TypeMap &Map,
+                                              int MaxWays) {
+  if (Map.size() == 0)
+    return std::make_unique<ExactIndex>(Map);
+  switch (Kind) {
+  case KnnIndexKind::Exact:
+    break;
+  case KnnIndexKind::Annoy:
+    return std::make_unique<AnnoyIndex>(Map, /*NumTrees=*/8, /*LeafSize=*/16,
+                                        /*Seed=*/0xA220, MaxWays);
+  case KnnIndexKind::Hnsw:
+    return std::make_unique<HnswIndex>(Map, /*M=*/16, /*EfConstruction=*/128,
+                                       /*Seed=*/0x45317, MaxWays);
+  }
+  return std::make_unique<ExactIndex>(Map);
+}
+
+std::unique_ptr<KnnIndex> typilus::loadIndex(KnnIndexKind Kind,
+                                             const ArchiveReader &R,
+                                             const TypeMap &Map,
+                                             std::string *Err) {
+  const char *Tag = Kind == KnnIndexKind::Annoy  ? AnnoyIndex::ChunkTag
+                    : Kind == KnnIndexKind::Hnsw ? HnswIndex::ChunkTag
+                                                 : nullptr;
+  // Only the kind the pred chunk names may ship a snapshot: a stray chunk
+  // of another kind would otherwise ride along into every re-save.
+  for (const char *Other : {AnnoyIndex::ChunkTag, HnswIndex::ChunkTag})
+    if (Other != Tag && R.hasChunk(Other)) {
+      if (Err)
+        *Err = std::string("invalid artifact: index chunk '") + Other +
+               "' does not match the predictor's " + knnIndexName(Kind) +
+               " index";
+      return nullptr;
+    }
+  if (!Tag || (!R.hasChunk(Tag) && Map.size() == 0))
+    return std::make_unique<ExactIndex>(Map);
+  // A missing chunk is a failed cursor: the engine's loader then fails
+  // with the archive's "missing chunk" error.
+  ArchiveCursor C = R.chunk(Tag, Err);
+  if (Kind == KnnIndexKind::Annoy)
+    return AnnoyIndex::load(C, Map, Err);
+  return HnswIndex::load(C, Map, Err);
+}
+
+//===----------------------------------------------------------------------===//
+// ExactIndex
+//===----------------------------------------------------------------------===//
+
+namespace {
 
 /// Marker rows per streamed tile: one tile's coordinates stay resident
 /// while every query of the block scans it, so a query block reads the
 /// marker array once from memory instead of once per query.
 constexpr size_t kMarkerTile = 256;
-/// Queries per block — also queryBatch's parallelFor grain, so tiny
+/// Queries per block — also queryIndexed's parallelFor grain, so tiny
 /// batches form a handful of tile-sized tasks instead of one per query.
 constexpr int64_t kQueryTile = 16;
 
@@ -757,33 +849,10 @@ void ExactIndex::queryBlock(const float *Qs, int64_t QBegin, int64_t QEnd,
   }
 }
 
-NeighborList ExactIndex::query(const float *Q, int K) const {
-  std::vector<NeighborList> Results(1);
-  std::vector<NeighborList> Heaps;
-  queryBlock(Q, 0, 1, K, Heaps, Results);
-  return std::move(Results.front());
-}
-
-NeighborList ExactIndex::queryLegacy(const float *Q, int K) const {
-  NeighborList All;
-  All.reserve(Map.size());
-  for (size_t I = 0; I != Map.size(); ++I)
-    if (Map.isLive(I))
-      All.emplace_back(static_cast<int>(I), Map.l1DistanceTo(Q, I));
-  size_t Keep = std::min<size_t>(static_cast<size_t>(K), All.size());
-  std::partial_sort(All.begin(), All.begin() + static_cast<long>(Keep),
-                    All.end(), [](const auto &A, const auto &B) {
-                      if (A.second != B.second)
-                        return A.second < B.second;
-                      return A.first < B.first;
-                    });
-  All.resize(Keep);
-  return All;
-}
-
-std::vector<NeighborList> ExactIndex::queryBatch(const float *Qs,
-                                                 int64_t NumQueries, int K,
-                                                 int MaxWays) const {
+std::vector<NeighborList> ExactIndex::queryIndexed(const float *Qs,
+                                                   int64_t NumQueries, int K,
+                                                   int /*Budget*/,
+                                                   int MaxWays) const {
   std::vector<NeighborList> Results(static_cast<size_t>(NumQueries));
   parallelFor(
       0, NumQueries, kQueryTile,
@@ -799,9 +868,13 @@ std::vector<NeighborList> ExactIndex::queryBatch(const float *Qs,
   return Results;
 }
 
+//===----------------------------------------------------------------------===//
+// AnnoyIndex
+//===----------------------------------------------------------------------===//
+
 AnnoyIndex::AnnoyIndex(const TypeMap &Map, int NumTrees, int LeafSize,
                        uint64_t Seed, int MaxWays)
-    : Map(Map), LeafSize(LeafSize), NumIndexed(Map.size()) {
+    : KnnIndex(Map), LeafSize(LeafSize) {
   // Derive an independent stream per tree up front; tree T's shape is then
   // a function of (Map, Seed, T) alone, so building the forest one pool
   // task per tree yields exactly the serial forest.
@@ -879,7 +952,6 @@ std::unique_ptr<AnnoyIndex> AnnoyIndex::load(ArchiveCursor &C,
     return nullptr;
   };
   std::unique_ptr<AnnoyIndex> Idx(new AnnoyIndex(Map, LoadShellTag{}));
-  Idx->NumIndexed = Map.size();
   Idx->LeafSize = C.readI32();
   uint64_t NumNodes = C.readU64();
   if (!C.ok() || NumNodes > C.remaining())
@@ -980,11 +1052,10 @@ int AnnoyIndex::buildTree(std::vector<BuildNode> &Out, std::vector<int> Items,
   return Idx;
 }
 
-NeighborList AnnoyIndex::query(const float *Q, int K, int SearchK) const {
+NeighborList AnnoyIndex::queryOne(const float *Q, int K) const {
   if (Map.size() == 0)
     return {};
-  if (SearchK < 0)
-    SearchK = static_cast<int>(Roots.size()) * K * 4;
+  const int SearchK = static_cast<int>(Roots.size()) * K * 4;
   // Best-first traversal over all trees: priority = margin to the split
   // plane (0 within the chosen side).
   using Entry = std::pair<float, int>; // (priority, node)
@@ -1023,26 +1094,22 @@ NeighborList AnnoyIndex::query(const float *Q, int K, int SearchK) const {
     Result.emplace_back(It, Map.l1DistanceTo(Q, static_cast<size_t>(It)));
   size_t Keep = std::min<size_t>(static_cast<size_t>(K), Result.size());
   std::partial_sort(Result.begin(), Result.begin() + static_cast<long>(Keep),
-                    Result.end(), [](const auto &A, const auto &B) {
-                      if (A.second != B.second)
-                        return A.second < B.second;
-                      return A.first < B.first;
-                    });
+                    Result.end(), neighborLess);
   Result.resize(Keep);
   return Result;
 }
 
-std::vector<NeighborList> AnnoyIndex::queryBatch(const float *Qs,
-                                                 int64_t NumQueries, int K,
-                                                 int SearchK,
-                                                 int MaxWays) const {
+std::vector<NeighborList> AnnoyIndex::queryIndexed(const float *Qs,
+                                                   int64_t NumQueries, int K,
+                                                   int /*Budget*/,
+                                                   int MaxWays) const {
   std::vector<NeighborList> Results(static_cast<size_t>(NumQueries));
   const int D = Map.dim();
   parallelFor(
       0, NumQueries, 1,
       [&](int64_t Lo, int64_t Hi) {
         for (int64_t I = Lo; I != Hi; ++I)
-          Results[static_cast<size_t>(I)] = query(Qs + I * D, K, SearchK);
+          Results[static_cast<size_t>(I)] = queryOne(Qs + I * D, K);
       },
       MaxWays);
   return Results;
@@ -1205,9 +1272,9 @@ void HnswIndex::insert(size_t I, const float *Coords, SearchScratch &S) {
 
 HnswIndex::HnswIndex(const TypeMap &Map, int M, int EfConstruction,
                      uint64_t Seed, int MaxWays)
-    : Map(Map), M(std::max(2, M)),
+    : KnnIndex(Map), M(std::max(2, M)),
       EfConstruction(std::max(8, EfConstruction)), Seed(Seed),
-      MaxWays(MaxWays), NumIndexed(Map.size()) {
+      MaxWays(MaxWays) {
   size_t N = Map.size();
   Nodes.resize(N);
   // Levels first (a pure per-row function), then strict row-order
@@ -1228,7 +1295,7 @@ NeighborList HnswIndex::queryWithScratch(const float *Q, int K, int EfSearch,
                                          SearchScratch &S) const {
   if (EntryPoint < 0 || K <= 0)
     return {};
-  int Ef = EfSearch < 0 ? std::max(4 * K, 64) : EfSearch;
+  int Ef = EfSearch <= 0 ? std::max(4 * K, 64) : EfSearch;
   Ef = std::max(Ef, K);
   int Ep = EntryPoint;
   float EpDist = Map.l1DistanceTo(Q, static_cast<size_t>(Ep));
@@ -1251,15 +1318,10 @@ NeighborList HnswIndex::queryWithScratch(const float *Q, int K, int EfSearch,
   return Result;
 }
 
-NeighborList HnswIndex::query(const float *Q, int K, int EfSearch) const {
-  SearchScratch S;
-  return queryWithScratch(Q, K, EfSearch, S);
-}
-
-std::vector<NeighborList> HnswIndex::queryBatch(const float *Qs,
-                                                int64_t NumQueries, int K,
-                                                int EfSearch,
-                                                int MaxWays) const {
+std::vector<NeighborList> HnswIndex::queryIndexed(const float *Qs,
+                                                  int64_t NumQueries, int K,
+                                                  int EfSearch,
+                                                  int MaxWays) const {
   std::vector<NeighborList> Results(static_cast<size_t>(NumQueries));
   const int64_t D = Map.dim();
   parallelFor(
@@ -1300,7 +1362,6 @@ std::unique_ptr<HnswIndex> HnswIndex::load(ArchiveCursor &C,
     return nullptr;
   };
   std::unique_ptr<HnswIndex> Idx(new HnswIndex(Map, LoadShellTag{}));
-  Idx->NumIndexed = Map.size();
   Idx->M = C.readI32();
   Idx->EfConstruction = C.readI32();
   Idx->Seed = C.readU64();

@@ -18,10 +18,14 @@
 /// freshly built f32 map; `subsampleCoreset` bounds the marker count first
 /// while keeping every type represented.
 ///
-/// Index construction and bulk queries dispatch through the process-wide
-/// ThreadPool: the forest is built one task per tree from per-tree derived
-/// seeds (so the parallel build is identical to the serial one), and
-/// `queryBatch` answers many queries concurrently.
+/// Queries go through one interface, KnnIndex, with three engines behind
+/// it: the blocked exact scan, an Annoy-style kd-forest (the paper's
+/// index) and a deterministic HNSW graph. All rank under one (distance,
+/// index) order, skip tombstones, and cover rows appended after the build
+/// with an exact delta scan; `buildIndex` / `loadIndex` alone map an index
+/// kind to its engine, artifact chunk and build constants. Construction
+/// and bulk queries dispatch through the process-wide ThreadPool, with
+/// answers independent of the thread count.
 ///
 /// The map is also *mutable* for the editor loop: markers may carry a file
 /// tag, `removeMarkersForFile` tombstones a file's rows in place (queries
@@ -269,72 +273,135 @@ std::vector<ScoredType> scoreNeighbors(const TypeMap &Map,
                                        const NeighborList &Neighbors,
                                        double P);
 
+/// Which index answers τmap queries. The numeric values are the
+/// serialized pred-chunk encoding (the byte that historically held the
+/// UseAnnoy bool, so exact/Annoy artifacts keep identical bytes) —
+/// append only.
+enum class KnnIndexKind : uint8_t { Exact = 0, Annoy = 1, Hnsw = 2 };
+
+/// "exact" | "annoy" | "hnsw" (CLI flags, `inspect` output, bench labels).
+const char *knnIndexName(KnnIndexKind K);
+/// Parses knnIndexName()'s strings; \returns false on anything else.
+bool parseKnnIndexKind(std::string_view Name, KnnIndexKind *Out);
+
+/// The one neighbour order every index agrees on: (distance, index)
+/// ascending — a *total* order (indices are distinct), so the top-k set
+/// and its sorted layout are uniquely determined however they were
+/// selected. That is what makes the blocked bounded-heap scan
+/// bit-identical to a full sort, and the delta merge bit-identical to a
+/// rebuilt index.
+inline bool neighborLess(const std::pair<int, float> &A,
+                         const std::pair<int, float> &B) {
+  if (A.second != B.second)
+    return A.second < B.second;
+  return A.first < B.first;
+}
+
+/// A kNN index over one TypeMap (which must outlive it).
+class KnnIndex {
+public:
+  virtual ~KnnIndex() = default;
+  KnnIndex(const KnnIndex &) = delete;
+  KnnIndex &operator=(const KnnIndex &) = delete;
+
+  /// Answers \p NumQueries queries (rows of \p Qs, stride dim()): each
+  /// result is the \p K nearest *live* markers of the whole map under
+  /// neighborLess. The engine answers over the rows it was built on; rows
+  /// appended since are covered by an exact scan merged under the same
+  /// order, until the next rebuild. \p Budget is the per-request
+  /// query-time budget (HNSW's layer-0 beam width; <= 0 = the index
+  /// default; the other engines ignore it). \p MaxWays > 0 caps the
+  /// parallelism. One virtual call per batch.
+  std::vector<NeighborList> queryBatch(const float *Qs, int64_t NumQueries,
+                                       int K, int Budget = 0,
+                                       int MaxWays = 0) const;
+  /// queryBatch for a single query, run serially.
+  NeighborList query(const float *Q, int K, int Budget = 0) const;
+
+  /// Markers the index was built (or loaded) over; queryBatch scans rows
+  /// [indexedMarkers(), map size) exactly.
+  virtual size_t indexedMarkers() const { return NumIndexed; }
+
+  /// Tag of the artifact chunk holding this index's snapshot, so serving
+  /// processes skip the rebuild; null when there is none to ship.
+  virtual const char *chunkTag() const { return nullptr; }
+  /// The artifact format version that introduced chunkTag()'s chunk (1 for
+  /// chunks that predate versioning, and for no chunk).
+  virtual uint32_t formatVersion() const { return 1; }
+  /// Appends the snapshot to the open chunk (only called with a tag).
+  virtual void save(ArchiveWriter &) const {}
+
+protected:
+  explicit KnnIndex(const TypeMap &Map) : Map(Map), NumIndexed(Map.size()) {}
+
+  /// The engine: the \p K nearest live markers among the indexed rows.
+  virtual std::vector<NeighborList> queryIndexed(const float *Qs,
+                                                 int64_t NumQueries, int K,
+                                                 int Budget,
+                                                 int MaxWays) const = 0;
+
+  const TypeMap &Map;
+  size_t NumIndexed;
+};
+
+/// Builds the serving index of \p Kind over \p Map (Annoy: 8 trees, leaf
+/// 16, seed 0xA220; HNSW: M=16, efConstruction=128, seed 0x45317). An
+/// empty map gets the exact scan whatever the kind: there is nothing to
+/// index, rows added later are scanned exactly, and artifacts carry no
+/// index chunk. \p MaxWays > 0 caps the build parallelism.
+std::unique_ptr<KnnIndex> buildIndex(KnnIndexKind Kind, const TypeMap &Map,
+                                     int MaxWays = 0);
+
+/// Loads the index of \p Kind saved alongside \p Map in \p R. Reads only
+/// that kind's snapshot chunk and rejects an index chunk of another kind;
+/// the chunk may be absent only when the map is empty (see buildIndex).
+/// \returns null and sets \p Err on failure.
+std::unique_ptr<KnnIndex> loadIndex(KnnIndexKind Kind, const ArchiveReader &R,
+                                    const TypeMap &Map, std::string *Err);
+
 /// Exact L1 k-nearest-neighbour scan (the reference the approximate
 /// indexes are validated against). The engine is a cache-blocked
 /// query×marker tiled scan: each marker tile is streamed once through
 /// every query of a query block, each query keeps a fixed-size bounded
 /// max-heap of the best k seen so far (no O(N) allocation per query),
 /// and the tile bodies dispatch through the active SIMD kernel table
-/// with the store switch hoisted out of the inner loops. Ties break
-/// (distance, index) exactly like the historical partial_sort, so
-/// results are bit-identical to queryLegacy for every store.
-class ExactIndex {
+/// with the store switch hoisted out of the inner loops. Batches are
+/// partitioned in tile-sized grains with per-chunk reusable scratch.
+class ExactIndex : public KnnIndex {
 public:
-  explicit ExactIndex(const TypeMap &Map) : Map(Map) {}
-  NeighborList query(const float *Q, int K) const;
+  explicit ExactIndex(const TypeMap &Map) : KnnIndex(Map) {}
 
-  /// The historical scan — materialize an N-entry candidate list, then
-  /// partial_sort. Kept as the bit-identity reference for tests and the
-  /// knn_query bench baseline; production callers use query().
-  NeighborList queryLegacy(const float *Q, int K) const;
-
-  /// Answers \p NumQueries queries (rows of \p Qs, stride dim()) through
-  /// the pool, partitioned in tile-sized grains with per-chunk reusable
-  /// scratch; \p MaxWays > 0 caps the parallelism.
-  std::vector<NeighborList> queryBatch(const float *Qs, int64_t NumQueries,
-                                       int K, int MaxWays = 0) const;
+  /// The scan covers every row of the map, so there is never a delta.
+  size_t indexedMarkers() const override { return Map.size(); }
 
 private:
+  std::vector<NeighborList> queryIndexed(const float *Qs, int64_t NumQueries,
+                                         int K, int Budget,
+                                         int MaxWays) const override;
   /// Blocked engine over queries [QBegin, QEnd) of \p Qs. \p Heaps is
   /// caller-owned scratch (one bounded heap per query of the block),
-  /// reused across blocks by queryBatch.
+  /// reused across blocks by queryIndexed.
   void queryBlock(const float *Qs, int64_t QBegin, int64_t QEnd, int K,
                   std::vector<NeighborList> &Heaps,
                   std::vector<NeighborList> &Results) const;
-
-  const TypeMap &Map;
 };
 
 /// An Annoy-style randomised kd-forest for L1 distance: each tree splits on
 /// the coordinate of largest spread between two random markers; queries
-/// descend all trees best-first and exactly re-rank the candidate union.
-/// Trees are seeded independently (derived from \p Seed per tree) and built
-/// one pool task per tree, so the forest does not depend on thread count.
-class AnnoyIndex {
+/// descend all trees best-first, inspect NumTrees·K·4 candidates (Annoy's
+/// heuristic) and exactly re-rank them. Trees are seeded independently
+/// (derived from \p Seed per tree) and built one pool task per tree, so
+/// the forest does not depend on thread count.
+class AnnoyIndex : public KnnIndex {
 public:
   /// \p MaxWays > 0 caps the build parallelism (1 = fully serial).
   AnnoyIndex(const TypeMap &Map, int NumTrees = 8, int LeafSize = 16,
              uint64_t Seed = 0xA220, int MaxWays = 0);
 
-  /// \p SearchK: number of candidates to inspect (defaults to
-  /// NumTrees * K * 4, Annoy's heuristic).
-  NeighborList query(const float *Q, int K, int SearchK = -1) const;
-
-  /// Answers \p NumQueries queries (rows of \p Qs, stride dim()) through
-  /// the pool; \p MaxWays > 0 caps the parallelism.
-  std::vector<NeighborList> queryBatch(const float *Qs, int64_t NumQueries,
-                                       int K, int SearchK = -1,
-                                       int MaxWays = 0) const;
-
-  /// Markers the forest was built (or loaded) over. Rows appended to the
-  /// map afterwards are invisible to the forest; callers cover that delta
-  /// with an exact scan of [indexedMarkers(), Map.size()) and merge (see
-  /// Predictor::queryNeighbors) until the next rebuild.
-  size_t indexedMarkers() const { return NumIndexed; }
-
-  /// Appends the built forest (leaf size, nodes, roots) to the open
-  /// chunk so a serving process can skip the rebuild entirely.
-  void save(ArchiveWriter &W) const;
+  static constexpr const char *ChunkTag = "anny";
+  const char *chunkTag() const override { return ChunkTag; }
+  /// Appends the built forest (leaf size, nodes, roots).
+  void save(ArchiveWriter &W) const override;
   /// Reconstructs a forest written by save() over \p Map (which must be
   /// the snapshot saved alongside it). Queries on the loaded forest are
   /// bit-identical to queries on the original.
@@ -346,7 +413,7 @@ private:
   /// Deserialization shell; load() fills the trees in. (Tagged so it does
   /// not collide with the building constructor's defaulted arguments.)
   struct LoadShellTag {};
-  AnnoyIndex(const TypeMap &Map, LoadShellTag) : Map(Map), LeafSize(0) {}
+  AnnoyIndex(const TypeMap &Map, LoadShellTag) : KnnIndex(Map), LeafSize(0) {}
 
   struct BuildNode {
     int SplitDim = -1;
@@ -357,10 +424,12 @@ private:
   /// Builds one subtree into \p Out; returns its index therein.
   int buildTree(std::vector<BuildNode> &Out, std::vector<int> Items, Rng &R,
                 int Depth) const;
+  std::vector<NeighborList> queryIndexed(const float *Qs, int64_t NumQueries,
+                                         int K, int Budget,
+                                         int MaxWays) const override;
+  NeighborList queryOne(const float *Q, int K) const;
 
-  const TypeMap &Map;
   int LeafSize;
-  size_t NumIndexed = 0;
   std::vector<BuildNode> Nodes;
   std::vector<int> Roots;
 };
@@ -373,12 +442,12 @@ private:
 /// parallel through the pool, but distances are bit-identical for any
 /// thread count, so the built graph and every query answer are a
 /// function of (Map, Seed) alone. Query cost is O(ef · M · log N)
-/// distance evaluations — sublinear in marker count — with EfSearch as
-/// the per-request latency/recall budget. Tombstoned rows keep routing
-/// through the graph but never surface as results (same contract as the
-/// other two indexes), and markers appended after the build are covered
-/// by the caller's exact delta scan via indexedMarkers().
-class HnswIndex {
+/// distance evaluations — sublinear in marker count — with the query
+/// Budget (EfSearch) as the per-request latency/recall knob: the
+/// layer-0 beam width, defaulting to max(4·K, 64) and clamped to >= K.
+/// Tombstoned rows keep routing through the graph but never surface as
+/// results.
+class HnswIndex : public KnnIndex {
 public:
   /// \p M: max links per node per upper layer (layer 0 keeps 2M);
   /// \p EfConstruction: insertion beam width; \p MaxWays > 0 caps the
@@ -386,26 +455,15 @@ public:
   HnswIndex(const TypeMap &Map, int M = 16, int EfConstruction = 128,
             uint64_t Seed = 0x45317, int MaxWays = 0);
 
-  /// \p EfSearch: layer-0 beam width, the query-time budget (candidates
-  /// inspected per request). Defaults to max(4·K, 64); clamped to >= K.
-  NeighborList query(const float *Q, int K, int EfSearch = -1) const;
-
-  /// Answers \p NumQueries queries (rows of \p Qs, stride dim()) through
-  /// the pool; \p MaxWays > 0 caps the parallelism.
-  std::vector<NeighborList> queryBatch(const float *Qs, int64_t NumQueries,
-                                       int K, int EfSearch = -1,
-                                       int MaxWays = 0) const;
-
-  /// Markers the graph was built (or loaded) over; rows appended later
-  /// are invisible until a rebuild (same contract as AnnoyIndex).
-  size_t indexedMarkers() const { return NumIndexed; }
-
   int m() const { return M; }
   int efConstruction() const { return EfConstruction; }
 
+  static constexpr const char *ChunkTag = "hnsw";
+  const char *chunkTag() const override { return ChunkTag; }
+  uint32_t formatVersion() const override { return 3; }
   /// Appends the built graph (params, entry point, per-node levels and
-  /// adjacency) to the open chunk so serving processes skip the build.
-  void save(ArchiveWriter &W) const;
+  /// adjacency).
+  void save(ArchiveWriter &W) const override;
   /// Reconstructs a graph written by save() over \p Map (which must be
   /// the snapshot saved alongside it). Queries on the loaded graph are
   /// bit-identical to queries on the original.
@@ -414,7 +472,7 @@ public:
 
 private:
   struct LoadShellTag {};
-  HnswIndex(const TypeMap &Map, LoadShellTag) : Map(Map) {}
+  HnswIndex(const TypeMap &Map, LoadShellTag) : KnnIndex(Map) {}
 
   struct Node {
     int Level = 0;
@@ -431,6 +489,9 @@ private:
     std::vector<float> FrontierD; ///< Their distances (parallel eval).
   };
 
+  std::vector<NeighborList> queryIndexed(const float *Qs, int64_t NumQueries,
+                                         int K, int EfSearch,
+                                         int MaxWays) const override;
   /// Beam search at \p Layer from entry point \p Ep: the best \p Ef
   /// (distance, index) pairs, ascending.
   void searchLayer(const float *Q, int Ep, float EpDist, int Ef, int Layer,
@@ -447,18 +508,17 @@ private:
   /// the node's own coordinates.
   void shrinkLinks(int NodeId, int Layer, int MaxLinks,
                    std::vector<float> &Decode);
-  /// query() with caller-owned scratch (queryBatch reuses it per chunk).
+  /// One query with caller-owned scratch (queryIndexed reuses it per
+  /// chunk).
   NeighborList queryWithScratch(const float *Q, int K, int EfSearch,
                                 SearchScratch &S) const;
   /// Seeded geometric level for row \p I — pure in (Seed, I).
   int levelFor(size_t I) const;
 
-  const TypeMap &Map;
   int M = 16;
   int EfConstruction = 128;
   uint64_t Seed = 0x45317;
   int MaxWays = 0;
-  size_t NumIndexed = 0;
   int EntryPoint = -1;
   int MaxLevel = -1;
   std::vector<Node> Nodes;

@@ -210,6 +210,10 @@ bool ArchiveWriter::writeFile(const std::string &Path,
 //===----------------------------------------------------------------------===//
 
 bool ArchiveCursor::take(void *Out, size_t N) {
+  // An empty run may come with a null Out (an empty vector's data()),
+  // which memcpy/memset must never see.
+  if (N == 0)
+    return !Failed;
   if (Failed || End - Pos < N) {
     Failed = true;
     std::memset(Out, 0, N);

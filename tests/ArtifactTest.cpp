@@ -665,7 +665,7 @@ TEST(ArtifactTest, HnswArtifactStampsVersionThreeAndRoundTrips) {
   std::unique_ptr<Predictor> L = Predictor::load(Path, &Err);
   ASSERT_NE(L, nullptr) << Err;
   EXPECT_EQ(L->knnOptions().Index, KnnIndexKind::Hnsw);
-  ASSERT_NE(L->hnswIndex(), nullptr);
+  ASSERT_NE(dynamic_cast<const HnswIndex *>(L->knnIndex()), nullptr);
   expectBitIdentical(InProc, L->predictAll(WB.DS.Test));
   std::remove(Path.c_str());
 }
@@ -735,4 +735,96 @@ TEST(ArtifactTest, SubsampledMapRoundTrips) {
   EXPECT_EQ(L->typeMap().size(), KO.MaxMarkers);
   expectBitIdentical(InProc, L->predictAll(WB.DS.Test));
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// The index behind the predictor: build-time options and index chunks
+//===----------------------------------------------------------------------===//
+
+// Store is a build-time fact about the map: a caller that starts from a
+// default KnnOptions to set query-time knobs must not make knnOptions()
+// contradict the loaded map.
+TEST(ArtifactTest, SetKnnOptionsKeepsTheMarkerStore) {
+  Workbench WB = makeTinyWorkbench();
+  ModelConfig MC = tinyConfig(EncoderKind::Graph, LossKind::Typilus);
+  std::unique_ptr<TypeModel> M = trainTiny(WB, MC);
+  KnnOptions KO;
+  KO.Store = MarkerStore::F16;
+  Predictor P = makePredictor(WB, *M, KO);
+  ArchiveWriter W(P.artifactVersion());
+  P.writeArtifact(W, *WB.U);
+  ArchiveReader R;
+  std::string Err;
+  ASSERT_TRUE(R.openBytes(W.bytes(), &Err)) << Err;
+  std::unique_ptr<Predictor> L = Predictor::load(R, &Err);
+  ASSERT_NE(L, nullptr) << Err;
+  ASSERT_EQ(L->typeMap().store(), MarkerStore::F16);
+
+  L->setKnnOptions(KnnOptions{});
+  EXPECT_EQ(L->knnOptions().Store, MarkerStore::F16);
+  EXPECT_EQ(L->knnOptions().Store, L->typeMap().store());
+  P.setKnnOptions(KnnOptions{});
+  EXPECT_EQ(P.knnOptions().Store, P.typeMap().store());
+}
+
+// The loader reads only the index chunk the pred chunk names. No writer
+// emits a second index chunk; a hand-built file that carries one is
+// rejected rather than loaded and carried into every re-save (where a
+// stray graph would also stamp format version 3 on an Annoy artifact).
+TEST(ArtifactTest, IndexChunkOfAnotherKindIsRejected) {
+  Workbench WB = makeTinyWorkbench();
+  ModelConfig MC = tinyConfig(EncoderKind::Graph, LossKind::Typilus);
+  std::unique_ptr<TypeModel> M = trainTiny(WB, MC);
+  for (KnnIndexKind Kind :
+       {KnnIndexKind::Annoy, KnnIndexKind::Exact, KnnIndexKind::Hnsw}) {
+    KnnOptions KO;
+    KO.Index = Kind;
+    Predictor P = makePredictor(WB, *M, KO);
+    ArchiveWriter W(kModelArtifactVersion);
+    P.writeArtifact(W, *WB.U);
+    // A well-formed snapshot of the wrong kind.
+    std::unique_ptr<KnnIndex> Stray = buildIndex(
+        Kind == KnnIndexKind::Hnsw ? KnnIndexKind::Annoy : KnnIndexKind::Hnsw,
+        P.typeMap());
+    W.beginChunk(Stray->chunkTag());
+    Stray->save(W);
+    W.endChunk();
+    ArchiveReader R;
+    std::string Err;
+    ASSERT_TRUE(R.openBytes(W.bytes(), &Err)) << Err;
+    EXPECT_EQ(Predictor::load(R, &Err), nullptr) << knnIndexName(Kind);
+    EXPECT_NE(Err.find(std::string("index chunk '") + Stray->chunkTag() +
+                       "' does not match"),
+              std::string::npos)
+        << Err;
+  }
+}
+
+// An empty τmap has nothing to index: every kind is served by the exact
+// scan, writes no index chunk (so the artifact stays version 1) and loads
+// back under its recorded kind.
+TEST(ArtifactTest, EmptyTypeMapWritesNoIndexChunk) {
+  Workbench WB = makeTinyWorkbench();
+  ModelConfig MC = tinyConfig(EncoderKind::Graph, LossKind::Typilus);
+  std::unique_ptr<TypeModel> M = trainTiny(WB, MC);
+  for (KnnIndexKind Kind :
+       {KnnIndexKind::Annoy, KnnIndexKind::Exact, KnnIndexKind::Hnsw}) {
+    KnnOptions KO;
+    KO.Index = Kind;
+    Predictor P =
+        Predictor::knn(*M, std::vector<const FileExample *>{}, KO);
+    ASSERT_EQ(P.typeMap().size(), 0u);
+    EXPECT_EQ(P.artifactVersion(), 1u) << knnIndexName(Kind);
+    ArchiveWriter W(P.artifactVersion());
+    P.writeArtifact(W, *WB.U);
+    ArchiveReader R;
+    std::string Err;
+    ASSERT_TRUE(R.openBytes(W.bytes(), &Err)) << Err;
+    EXPECT_FALSE(R.hasChunk("anny")) << knnIndexName(Kind);
+    EXPECT_FALSE(R.hasChunk("hnsw")) << knnIndexName(Kind);
+    std::unique_ptr<Predictor> L = Predictor::load(R, &Err);
+    ASSERT_NE(L, nullptr) << Err;
+    EXPECT_EQ(L->knnOptions().Index, Kind);
+    expectBitIdentical(P.predictAll(WB.DS.Test), L->predictAll(WB.DS.Test));
+  }
 }

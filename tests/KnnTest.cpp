@@ -1,5 +1,6 @@
 //===- tests/KnnTest.cpp - knn/ unit & property tests --------------------------===//
 
+#include "KnnReference.h"
 #include "knn/TypeMap.h"
 #include "support/Float16.h"
 #include "support/Str.h"
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
@@ -824,7 +826,7 @@ TEST(ExactIndexTest, BlockedScanMatchesLegacyBitForBit) {
     for (int K : {1, 10, 64, 2000}) { // 2000 > N: clamped, full sort
       for (int Q = 0; Q != NumQ; ++Q) {
         auto Blocked = Idx.query(Qs.data() + Q * D, K);
-        auto Legacy = Idx.queryLegacy(Qs.data() + Q * D, K);
+        auto Legacy = referenceKnn(Map, Qs.data() + Q * D, K);
         ASSERT_EQ(Blocked, Legacy)
             << markerStoreName(S) << " query " << Q << " K=" << K;
       }
@@ -835,7 +837,7 @@ TEST(ExactIndexTest, BlockedScanMatchesLegacyBitForBit) {
         ASSERT_EQ(Batch.size(), static_cast<size_t>(NumQ));
         for (int Q = 0; Q != NumQ; ++Q)
           ASSERT_EQ(Batch[static_cast<size_t>(Q)],
-                    Idx.queryLegacy(Qs.data() + Q * D, K))
+                    referenceKnn(Map, Qs.data() + Q * D, K))
               << markerStoreName(S) << " batch query " << Q << " K=" << K
               << " threads=" << Threads;
       }
@@ -1017,4 +1019,98 @@ TEST(HnswIndexTest, SnapshotRoundTripIsQueryIdentical) {
       ASSERT_EQ(Loaded->query(F.Points[Q].data(), 10, Ef),
                 Built.query(F.Points[Q].data(), 10, Ef))
           << "query " << Q << " ef " << Ef;
+}
+
+//===----------------------------------------------------------------------===//
+// The KnnIndex interface: one factory, one query path with the delta scan
+//===----------------------------------------------------------------------===//
+
+TEST(KnnIndexTest, FactoryMapsKindsToEngines) {
+  MapFixture F(200, 6, 8, 43);
+  std::unique_ptr<KnnIndex> Exact = buildIndex(KnnIndexKind::Exact, F.Map);
+  EXPECT_NE(dynamic_cast<const ExactIndex *>(Exact.get()), nullptr);
+  EXPECT_EQ(Exact->chunkTag(), nullptr);
+  EXPECT_EQ(Exact->formatVersion(), 1u);
+
+  std::unique_ptr<KnnIndex> Annoy = buildIndex(KnnIndexKind::Annoy, F.Map);
+  EXPECT_NE(dynamic_cast<const AnnoyIndex *>(Annoy.get()), nullptr);
+  EXPECT_STREQ(Annoy->chunkTag(), "anny");
+  EXPECT_EQ(Annoy->formatVersion(), 1u);
+
+  std::unique_ptr<KnnIndex> Hnsw = buildIndex(KnnIndexKind::Hnsw, F.Map);
+  const auto *H = dynamic_cast<const HnswIndex *>(Hnsw.get());
+  ASSERT_NE(H, nullptr);
+  EXPECT_STREQ(Hnsw->chunkTag(), "hnsw");
+  EXPECT_EQ(Hnsw->formatVersion(), 3u);
+  EXPECT_EQ(H->m(), 16);
+  EXPECT_EQ(H->efConstruction(), 128);
+
+  // The factory's build constants are the engines' defaults.
+  AnnoyIndex DefaultAnnoy(F.Map);
+  HnswIndex DefaultHnsw(F.Map);
+  for (size_t Q = 0; Q != 10; ++Q) {
+    EXPECT_EQ(Annoy->query(F.Points[Q].data(), 10),
+              DefaultAnnoy.query(F.Points[Q].data(), 10));
+    EXPECT_EQ(Hnsw->query(F.Points[Q].data(), 10),
+              DefaultHnsw.query(F.Points[Q].data(), 10));
+  }
+}
+
+TEST(KnnIndexTest, EmptyMapIsServedByTheExactScan) {
+  // Nothing to index: every kind gets the exact scan (no snapshot chunk),
+  // and rows added later are answered.
+  for (KnnIndexKind Kind :
+       {KnnIndexKind::Exact, KnnIndexKind::Annoy, KnnIndexKind::Hnsw}) {
+    TypeUniverse U;
+    TypeMap Map(4);
+    std::unique_ptr<KnnIndex> Idx = buildIndex(Kind, Map);
+    EXPECT_NE(dynamic_cast<const ExactIndex *>(Idx.get()), nullptr)
+        << knnIndexName(Kind);
+    EXPECT_EQ(Idx->chunkTag(), nullptr) << knnIndexName(Kind);
+    float E[4] = {0.5f, -1.f, 2.f, 0.f};
+    ASSERT_TRUE(Map.add(E, U.get("int")));
+    NeighborList N = Idx->query(E, 3);
+    ASSERT_EQ(N.size(), 1u) << knnIndexName(Kind);
+    EXPECT_EQ(N[0], (std::pair<int, float>(0, 0.f))) << knnIndexName(Kind);
+  }
+}
+
+TEST(KnnIndexTest, RowsAddedAfterTheBuildAreAnswered) {
+  // Every engine answers over the rows it was built on and merges an
+  // exact scan of the rows appended since, under neighborLess: each
+  // appended point finds itself first at distance 0, no row is answered
+  // twice, and the exact engine (which scans every row anyway) still
+  // equals the reference scan over the whole map.
+  MapFixture F(400, 8, 8, 44);
+  const int NumAdded = 30, D = 8;
+  Rng R(45);
+  std::vector<float> Added;
+  for (int I = 0; I != NumAdded * D; ++I)
+    Added.push_back(static_cast<float>(R.normal()));
+  for (KnnIndexKind Kind :
+       {KnnIndexKind::Exact, KnnIndexKind::Annoy, KnnIndexKind::Hnsw}) {
+    TypeMap Map = F.Map;
+    std::unique_ptr<KnnIndex> Idx = buildIndex(Kind, Map);
+    for (int Q = 0; Q != NumAdded; ++Q)
+      ASSERT_TRUE(Map.add(Added.data() + Q * D, F.U.get("Added")));
+    EXPECT_EQ(Idx->indexedMarkers(),
+              Kind == KnnIndexKind::Exact ? Map.size() : F.Map.size());
+    std::vector<NeighborList> Batch =
+        Idx->queryBatch(Added.data(), NumAdded, 10);
+    ASSERT_EQ(Batch.size(), static_cast<size_t>(NumAdded));
+    for (int Q = 0; Q != NumAdded; ++Q) {
+      const NeighborList &N = Batch[static_cast<size_t>(Q)];
+      ASSERT_EQ(N.size(), 10u) << knnIndexName(Kind) << " query " << Q;
+      EXPECT_EQ(N[0], (std::pair<int, float>(400 + Q, 0.f)))
+          << knnIndexName(Kind) << " query " << Q;
+      EXPECT_TRUE(std::is_sorted(N.begin(), N.end(), neighborLess));
+      std::set<int> Rows;
+      for (auto [I, Dist] : N)
+        Rows.insert(I);
+      EXPECT_EQ(Rows.size(), N.size()) << knnIndexName(Kind);
+      if (Kind == KnnIndexKind::Exact) {
+        EXPECT_EQ(N, referenceKnn(Map, Added.data() + Q * D, 10));
+      }
+    }
+  }
 }

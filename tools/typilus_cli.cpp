@@ -14,10 +14,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RuntimeOptions.h"
+
 #include "core/Experiments.h"
 #include "corpus/Ingest.h"
 #include "corpus/ShardedDataset.h"
-#include "nn/Simd.h"
 #include "serve/Protocol.h"
 #include "support/Archive.h"
 #include "support/Json.h"
@@ -31,6 +32,7 @@
 #include <sys/stat.h>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -56,7 +58,7 @@ struct Options {
   std::string FromDir;    ///< shard: --from-dir, ingest a real .py tree.
   bool NoPrefetch = false; ///< --no-prefetch: disable shard read-ahead.
   std::vector<std::string> Sources; ///< --source: real .py files to predict.
-  std::string Split = "test";       ///< --split for predict.
+  SplitKind Split = SplitKind::Test; ///< --split for predict.
   std::string Socket;               ///< client: daemon socket path.
   std::string Tcp;                  ///< client: daemon HOST:PORT.
   int Repeat = 1;                   ///< client: concurrent sends per source.
@@ -68,16 +70,12 @@ struct Options {
   int Epochs = 8;
   int Hidden = 32;
   int Limit = 10;
-  int Threads = 0;
-  int K = 10;
-  double P = 1.0;
-  bool HaveK = false, HaveP = false;
-  bool Exact = false, AnnoyFlag = false; ///< Aliases for --index.
-  std::string IndexName;   ///< --index: exact | annoy | hnsw.
-  int EfSearch = 0;        ///< --ef-search: HNSW query budget (0 = default).
-  std::string TmapStore;       ///< --tmap-store: f32 | f16 | int8.
+  tools::RuntimeOptions Runtime; ///< --threads, --ef-search, --no-simd.
+  std::optional<int> K;    ///< --k: neighbours (default: KnnOptions').
+  std::optional<double> P; ///< --p: distance-weighting temperature.
+  std::optional<KnnIndexKind> Index; ///< --index: exact | annoy | hnsw.
+  std::optional<MarkerStore> TmapStore; ///< --tmap-store: f32|f16|int8.
   long TmapMaxMarkers = 0;     ///< --tmap-max-markers: coreset cap (0 = off).
-  bool NoSimd = false;         ///< --no-simd: pin the scalar kernel table.
   bool Verbose = false;
   std::string Encoder = "graph";
   std::string Loss = "typilus";
@@ -94,8 +92,7 @@ int usage(const char *Argv0) {
       "           --out PATH [--files N] [--udts N] [--epochs N]\n"
       "           [--hidden D] [--encoder graph|seq|path|names]\n"
       "           [--loss typilus|space|class] [--index exact|annoy|hnsw]\n"
-      "           [--ef-search N] [--k N] [--p F]\n"
-      "           [--threads N] [--seed S] [--checkpoint PATH] [--resume]\n"
+      "           [--k N] [--p F] [--seed S] [--checkpoint PATH] [--resume]\n"
       "           [--checkpoint-every STEPS] [--shards DIR] [--verbose]\n"
       "           [--tmap-store f32|f16|int8] [--tmap-max-markers N]\n"
       "           [--no-prefetch]\n"
@@ -108,7 +105,7 @@ int usage(const char *Argv0) {
       "           --tmap-max-markers caps them by coreset subsampling)\n"
       "  shard    preprocess a corpus into a shard set\n"
       "           --out-dir DIR [--files N] [--udts N] [--seed S]\n"
-      "           [--shard-files N] [--threads N] [--from-dir TREE]\n"
+      "           [--shard-files N] [--from-dir TREE]\n"
       "           (--from-dir ingests a real .py tree instead of the\n"
       "           synthetic corpus: files the parser rejects are skipped\n"
       "           and reported with file:line context, never fatal;\n"
@@ -116,115 +113,111 @@ int usage(const char *Argv0) {
       "           identical to the serial build)\n"
       "  predict  load an artifact and predict, no training data needed\n"
       "           --model PATH [--split train|valid|test] [--limit N]\n"
-      "           [--source FILE.py]... [--shards DIR] [--threads N]\n"
-      "           [--no-prefetch] [--ef-search N]\n"
+      "           [--source FILE.py]... [--shards DIR] [--no-prefetch]\n"
       "  inspect  print an artifact's chunks, config and vocabularies\n"
       "           --model PATH\n"
       "  save     rewrite an artifact, optionally changing kNN options\n"
       "           --model PATH --out PATH [--index exact|annoy|hnsw]\n"
-      "           [--ef-search N] [--k N] [--p F]\n"
+      "           [--k N] [--p F]\n"
       "           [--tmap-store f16|int8]  (quantize an f32 τmap in place)\n"
       "  client   talk to a running typilus_serve daemon\n"
       "           (--socket PATH | --tcp HOST:PORT)\n"
       "           (--source FILE.py... [--repeat N] [--limit N]\n"
       "           | --ping | --reload | --shutdown)\n"
       "\n"
-      "global options:\n"
-      "  --no-simd  pin the scalar reference kernels (bit-reproducible\n"
-      "             across hosts; the default SIMD path is deterministic\n"
-      "             per host but may differ from scalar in the last ulps)\n",
-      Argv0);
+      "global options:\n%s",
+      Argv0, tools::kRuntimeUsage);
   return 2;
+}
+
+/// Parses splitKindName()'s strings; \returns false on anything else.
+bool parseSplitKind(std::string_view Name, SplitKind *Out) {
+  for (SplitKind S : {SplitKind::Train, SplitKind::Valid, SplitKind::Test})
+    if (Name == splitKindName(S)) {
+      *Out = S;
+      return true;
+    }
+  return false;
 }
 
 bool parseOptions(int Argc, char **Argv, Options &O) {
   for (int I = 2; I < Argc; ++I) {
     std::string A = Argv[I];
-    auto Next = [&](const char *What) -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s expects a value\n", What);
-        return nullptr;
-      }
-      return Argv[++I];
-    };
+    auto Next = [&] { return tools::flagValue(Argc, Argv, I); };
     const char *V = nullptr;
     if (A == "--out") {
-      if (!(V = Next("--out"))) return false;
+      if (!(V = Next())) return false;
       O.Out = V;
     } else if (A == "--model") {
-      if (!(V = Next("--model"))) return false;
+      if (!(V = Next())) return false;
       O.ModelPath = V;
     } else if (A == "--checkpoint") {
-      if (!(V = Next("--checkpoint"))) return false;
+      if (!(V = Next())) return false;
       O.Checkpoint = V;
     } else if (A == "--resume") {
       O.Resume = true;
     } else if (A == "--checkpoint-every") {
-      if (!(V = Next("--checkpoint-every"))) return false;
+      if (!(V = Next())) return false;
       O.CheckpointEvery = std::atoi(V);
     } else if (A == "--shards") {
-      if (!(V = Next("--shards"))) return false;
+      if (!(V = Next())) return false;
       O.ShardDir = V;
     } else if (A == "--out-dir") {
-      if (!(V = Next("--out-dir"))) return false;
+      if (!(V = Next())) return false;
       O.OutDir = V;
     } else if (A == "--shard-files") {
-      if (!(V = Next("--shard-files"))) return false;
+      if (!(V = Next())) return false;
       O.ShardFiles = std::atoi(V);
     } else if (A == "--from-dir") {
-      if (!(V = Next("--from-dir"))) return false;
+      if (!(V = Next())) return false;
       O.FromDir = V;
     } else if (A == "--no-prefetch") {
       O.NoPrefetch = true;
     } else if (A == "--source") {
-      if (!(V = Next("--source"))) return false;
+      if (!(V = Next())) return false;
       O.Sources.push_back(V);
     } else if (A == "--split") {
-      if (!(V = Next("--split"))) return false;
-      O.Split = V;
+      if (!(V = Next())) return false;
+      if (!parseSplitKind(V, &O.Split))
+        return tools::badFlagValue("--split", "train, valid or test", V);
     } else if (A == "--files") {
-      if (!(V = Next("--files"))) return false;
+      if (!(V = Next())) return false;
       O.Files = std::atoi(V);
     } else if (A == "--udts") {
-      if (!(V = Next("--udts"))) return false;
+      if (!(V = Next())) return false;
       O.Udts = std::atoi(V);
     } else if (A == "--epochs") {
-      if (!(V = Next("--epochs"))) return false;
+      if (!(V = Next())) return false;
       O.Epochs = std::atoi(V);
     } else if (A == "--hidden") {
-      if (!(V = Next("--hidden"))) return false;
+      if (!(V = Next())) return false;
       O.Hidden = std::atoi(V);
     } else if (A == "--limit") {
-      if (!(V = Next("--limit"))) return false;
+      if (!(V = Next())) return false;
       O.Limit = std::atoi(V);
-    } else if (A == "--threads") {
-      if (!(V = Next("--threads"))) return false;
-      O.Threads = std::atoi(V);
     } else if (A == "--k") {
-      if (!(V = Next("--k"))) return false;
+      if (!(V = Next())) return false;
       O.K = std::atoi(V);
-      O.HaveK = true;
     } else if (A == "--p") {
-      if (!(V = Next("--p"))) return false;
+      if (!(V = Next())) return false;
       O.P = std::atof(V);
-      O.HaveP = true;
     } else if (A == "--seed") {
-      if (!(V = Next("--seed"))) return false;
+      if (!(V = Next())) return false;
       O.Seed = std::strtoull(V, nullptr, 10);
     } else if (A == "--encoder") {
-      if (!(V = Next("--encoder"))) return false;
+      if (!(V = Next())) return false;
       O.Encoder = V;
     } else if (A == "--loss") {
-      if (!(V = Next("--loss"))) return false;
+      if (!(V = Next())) return false;
       O.Loss = V;
     } else if (A == "--socket") {
-      if (!(V = Next("--socket"))) return false;
+      if (!(V = Next())) return false;
       O.Socket = V;
     } else if (A == "--tcp") {
-      if (!(V = Next("--tcp"))) return false;
+      if (!(V = Next())) return false;
       O.Tcp = V;
     } else if (A == "--repeat") {
-      if (!(V = Next("--repeat"))) return false;
+      if (!(V = Next())) return false;
       O.Repeat = std::atoi(V);
     } else if (A == "--ping") {
       O.Ping = true;
@@ -232,26 +225,22 @@ bool parseOptions(int Argc, char **Argv, Options &O) {
       O.Shutdown = true;
     } else if (A == "--reload") {
       O.Reload = true;
-    } else if (A == "--exact") {
-      O.Exact = true;
-    } else if (A == "--annoy") {
-      O.AnnoyFlag = true;
     } else if (A == "--index") {
-      if (!(V = Next("--index"))) return false;
-      O.IndexName = V;
-    } else if (A == "--ef-search") {
-      if (!(V = Next("--ef-search"))) return false;
-      O.EfSearch = std::atoi(V);
+      if (!(V = Next())) return false;
+      if (!parseKnnIndexKind(V, &O.Index.emplace()))
+        return tools::badFlagValue("--index", "exact, annoy or hnsw", V);
     } else if (A == "--tmap-store") {
-      if (!(V = Next("--tmap-store"))) return false;
-      O.TmapStore = V;
+      if (!(V = Next())) return false;
+      if (!parseMarkerStore(V, &O.TmapStore.emplace()))
+        return tools::badFlagValue("--tmap-store", "f32, f16 or int8", V);
     } else if (A == "--tmap-max-markers") {
-      if (!(V = Next("--tmap-max-markers"))) return false;
+      if (!(V = Next())) return false;
       O.TmapMaxMarkers = std::atol(V);
-    } else if (A == "--no-simd") {
-      O.NoSimd = true;
     } else if (A == "--verbose") {
       O.Verbose = true;
+    } else if (int R = O.Runtime.parse(Argc, Argv, I)) {
+      if (R < 0)
+        return false;
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", A.c_str());
       return false;
@@ -263,28 +252,6 @@ bool parseOptions(int Argc, char **Argv, Options &O) {
 int fail(const std::string &Err) {
   std::fprintf(stderr, "error: %s\n", Err.c_str());
   return 1;
-}
-
-/// Resolves the index spelling into one KnnIndexKind. `--index NAME` is
-/// the canonical form; `--exact` / `--annoy` predate it and stay as
-/// aliases. \returns false on conflicting or unknown spellings.
-bool resolveIndexKind(const Options &O, KnnIndexKind Default,
-                      KnnIndexKind *Out, std::string *Err) {
-  if ((!O.IndexName.empty() && (O.Exact || O.AnnoyFlag)) ||
-      (O.Exact && O.AnnoyFlag)) {
-    *Err = "--index, --exact and --annoy are mutually exclusive";
-    return false;
-  }
-  if (!O.IndexName.empty()) {
-    if (!parseKnnIndexKind(O.IndexName, Out)) {
-      *Err = "--index expects exact, annoy or hnsw; got '" + O.IndexName + "'";
-      return false;
-    }
-    return true;
-  }
-  *Out = O.Exact ? KnnIndexKind::Exact
-                 : O.AnnoyFlag ? KnnIndexKind::Annoy : Default;
-  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -342,13 +309,6 @@ bool readCorpusRecipe(const ArchiveReader &R, CorpusConfig &CC,
 // Prediction digest + printing
 //===----------------------------------------------------------------------===//
 
-/// The FNV-1a prediction digest (core/Predictor.h) — shared with the
-/// serving daemon, whose responses carry the same value for the same
-/// file, making serving paths digest-comparable from the shell.
-uint64_t digest(const std::vector<PredictionResult> &Preds) {
-  return predictionDigest(Preds);
-}
-
 void printPredictions(const std::vector<PredictionResult> &Preds, int Limit) {
   int Shown = 0;
   for (const PredictionResult &P : Preds) {
@@ -382,15 +342,10 @@ void printSummary(const std::vector<PredictionResult> &Preds,
                 100.0 * static_cast<double>(Up) / Total);
 }
 
-const std::vector<FileExample> *splitOf(const Dataset &DS,
-                                        const std::string &Name) {
-  if (Name == "train")
-    return &DS.Train;
-  if (Name == "valid")
-    return &DS.Valid;
-  if (Name == "test")
-    return &DS.Test;
-  return nullptr;
+const std::vector<FileExample> &splitOf(const Dataset &DS, SplitKind S) {
+  return S == SplitKind::Train ? DS.Train
+         : S == SplitKind::Valid ? DS.Valid
+                                 : DS.Test;
 }
 
 //===----------------------------------------------------------------------===//
@@ -491,7 +446,7 @@ int cmdTrain(const Options &O) {
 
   TrainOptions TO;
   TO.Epochs = O.Epochs;
-  TO.NumThreads = O.Threads;
+  TO.NumThreads = O.Runtime.Threads;
   TO.Verbose = O.Verbose;
   TO.CheckpointPath = O.Checkpoint;
   TO.CheckpointEverySteps = O.CheckpointEvery;
@@ -517,18 +472,12 @@ int cmdTrain(const Options &O) {
   // Build the serving predictor: τmap over train+valid for Space/Typilus
   // models, plain classifier otherwise.
   KnnOptions KO;
-  if (O.HaveK)
-    KO.K = O.K;
-  if (O.HaveP)
-    KO.P = O.P;
-  if (!resolveIndexKind(O, KnnIndexKind::Annoy, &KO.Index, &Err))
-    return fail(Err);
-  if (O.EfSearch > 0)
-    KO.EfSearch = O.EfSearch;
-  KO.NumThreads = O.Threads;
-  if (!O.TmapStore.empty() && !parseMarkerStore(O.TmapStore, &KO.Store))
-    return fail("--tmap-store expects f32, f16 or int8; got '" + O.TmapStore +
-                "'");
+  KO.K = O.K.value_or(KO.K);
+  KO.P = O.P.value_or(KO.P);
+  KO.Index = O.Index.value_or(KnnIndexKind::Annoy);
+  KO.EfSearch = O.Runtime.EfSearch;
+  KO.NumThreads = O.Runtime.Threads;
+  KO.Store = O.TmapStore.value_or(MarkerStore::F32);
   if (O.TmapMaxMarkers < 0)
     return fail("--tmap-max-markers expects a non-negative count");
   KO.MaxMarkers = static_cast<size_t>(O.TmapMaxMarkers);
@@ -561,7 +510,7 @@ int cmdTrain(const Options &O) {
                 SD->prefetchEnabled() ? "on" : "off", SD->prefetchHits(),
                 SD->prefetchMisses(), SD->prefetchWaitMicros(),
                 SD->decodeStallMicros(), SD->decodeCount());
-  std::printf("test-split digest: %016" PRIx64 "\n", digest(Preds));
+  std::printf("test-split digest: %016" PRIx64 "\n", predictionDigest(Preds));
   return 0;
 }
 
@@ -635,7 +584,7 @@ int cmdShard(const Options &O) {
   ShardBuildOptions SO;
   SO.Dir = O.OutDir;
   SO.FilesPerShard = O.ShardFiles;
-  SO.NumThreads = O.Threads;
+  SO.NumThreads = O.Runtime.Threads;
   // An ingested tree has no generation recipe; `train` then warns that
   // the artifact will need --source or --shards to predict.
   if (HaveRecipe)
@@ -679,11 +628,7 @@ int cmdPredict(const Options &O) {
   std::unique_ptr<Predictor> P = Predictor::load(R, &Err);
   if (!P)
     return fail(Err);
-  KnnOptions KO = P->knnOptions();
-  KO.NumThreads = O.Threads;
-  if (O.EfSearch > 0)
-    KO.EfSearch = O.EfSearch; // query-time budget only; no index rebuild
-  P->setKnnOptions(KO);
+  O.Runtime.apply(*P);
   TypeUniverse &U = *P->universe();
   const ModelConfig &MC = P->model().config();
   std::printf("loaded %s (%s/%s, D=%d%s)\n", O.ModelPath.c_str(),
@@ -705,7 +650,8 @@ int cmdPredict(const Options &O) {
       printPredictions(Preds, O.Limit);
       // The per-file digest a typilus_serve response for this source must
       // match bit for bit (CI's daemon smoke compares the two).
-      std::printf("%s digest: %016" PRIx64 "\n", Src.c_str(), digest(Preds));
+      std::printf("%s digest: %016" PRIx64 "\n", Src.c_str(),
+                  predictionDigest(Preds));
     }
     return 0;
   }
@@ -721,22 +667,15 @@ int cmdPredict(const Options &O) {
         ShardedDataset::open(O.ShardDir, U, SDO, &Err);
     if (!SD)
       return fail(Err);
-    SplitKind SK;
-    if (O.Split == "train")
-      SK = SplitKind::Train;
-    else if (O.Split == "valid")
-      SK = SplitKind::Valid;
-    else if (O.Split == "test")
-      SK = SplitKind::Test;
-    else
-      return fail("unknown split '" + O.Split + "'");
-    auto Preds = P->predictAll(SD->split(SK));
-    std::printf("%s split: %zu files (streamed from %s)\n", O.Split.c_str(),
-                SD->numFiles(SK), O.ShardDir.c_str());
+    auto Preds = P->predictAll(SD->split(O.Split));
+    std::printf("%s split: %zu files (streamed from %s)\n",
+                splitKindName(O.Split), SD->numFiles(O.Split),
+                O.ShardDir.c_str());
     printPredictions(Preds, O.Limit);
     printSummary(Preds, U);
-    if (O.Split == "test")
-      std::printf("test-split digest: %016" PRIx64 "\n", digest(Preds));
+    if (O.Split == SplitKind::Test)
+      std::printf("test-split digest: %016" PRIx64 "\n",
+                  predictionDigest(Preds));
     return 0;
   }
 
@@ -752,15 +691,14 @@ int cmdPredict(const Options &O) {
   // Resolve the dataset's types inside the artifact's universe so truth
   // and prediction TypeRefs are the same interned pointers.
   Dataset DS = buildDataset(Files, Gen.udts(), U, /*Hierarchy=*/nullptr, DC);
-  const std::vector<FileExample> *Split = splitOf(DS, O.Split);
-  if (!Split)
-    return fail("unknown split '" + O.Split + "'");
-  auto Preds = P->predictAll(*Split);
-  std::printf("%s split: %zu files\n", O.Split.c_str(), Split->size());
+  const std::vector<FileExample> &Split = splitOf(DS, O.Split);
+  auto Preds = P->predictAll(Split);
+  std::printf("%s split: %zu files\n", splitKindName(O.Split), Split.size());
   printPredictions(Preds, O.Limit);
   printSummary(Preds, U);
-  if (O.Split == "test")
-    std::printf("test-split digest: %016" PRIx64 "\n", digest(Preds));
+  if (O.Split == SplitKind::Test)
+    std::printf("test-split digest: %016" PRIx64 "\n",
+                predictionDigest(Preds));
   return 0;
 }
 
@@ -799,7 +737,7 @@ int cmdInspect(const Options &O) {
                 P->typeMap().size(), markerStoreName(P->typeMap().store()),
                 P->typeMap().storageBytes(), P->knnOptions().K,
                 P->knnOptions().P, knnIndexName(P->knnOptions().Index));
-    if (const HnswIndex *H = P->hnswIndex())
+    if (auto *H = dynamic_cast<const HnswIndex *>(P->knnIndex()))
       std::printf("hnsw graph: %zu nodes, M=%d, efConstruction=%d, "
                   "efSearch=%s\n",
                   H->indexedMarkers(), H->m(), H->efConstruction(),
@@ -834,24 +772,14 @@ int cmdSave(const Options &O) {
   if (!P)
     return fail(Err);
 
+  O.Runtime.apply(*P);
   KnnOptions KO = P->knnOptions();
-  if (O.HaveK)
-    KO.K = O.K;
-  if (O.HaveP)
-    KO.P = O.P;
-  if (!resolveIndexKind(O, KO.Index, &KO.Index, &Err))
-    return fail(Err);
-  if (O.EfSearch > 0)
-    KO.EfSearch = O.EfSearch;
+  KO.K = O.K.value_or(KO.K);
+  KO.P = O.P.value_or(KO.P);
+  KO.Index = O.Index.value_or(KO.Index);
   P->setKnnOptions(KO); // rebuilds the index when the kind flips
-  if (!O.TmapStore.empty()) {
-    MarkerStore S;
-    if (!parseMarkerStore(O.TmapStore, &S))
-      return fail("--tmap-store expects f32, f16 or int8; got '" +
-                  O.TmapStore + "'");
-    if (!P->setMarkerStore(S, &Err))
-      return fail(Err);
-  }
+  if (O.TmapStore && !P->setMarkerStore(*O.TmapStore, &Err))
+    return fail(Err);
 
   ArchiveWriter W(P->artifactVersion());
   P->writeArtifact(W, *P->universe());
@@ -1038,8 +966,7 @@ int main(int Argc, char **Argv) {
   Options O;
   if (!parseOptions(Argc, Argv, O))
     return 2;
-  if (O.NoSimd)
-    nn::simd::setSimdEnabled(false);
+  O.Runtime.applyProcess();
 
   if (Cmd == "train")
     return cmdTrain(O);

@@ -16,10 +16,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RuntimeOptions.h"
+
 #include "lsp/LspServer.h"
-#include "nn/Simd.h"
 #include "support/Socket.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
 #include <cerrno>
@@ -42,12 +42,10 @@ struct Options {
   std::string ModelPath;
   std::string SocketPath;
   bool Stdio = false;
-  int Threads = 0;
-  int EfSearch = 0; ///< --ef-search: HNSW query budget (0 = default).
+  tools::RuntimeOptions Runtime; ///< --threads, --ef-search, --no-simd.
   double MinConfidence = 0.5;
   bool NoCheckerGate = false;
   bool InferLocals = false;
-  bool NoSimd = false;
 };
 
 int usage(const char *Argv0) {
@@ -59,56 +57,40 @@ int usage(const char *Argv0) {
       "the edited file and publish predicted types as diagnostics (and a\n"
       "typilus/types notification carrying the prediction digest).\n"
       "Options:\n"
-      "  --threads N           pool size (0 = hardware, 1 = serial)\n"
-      "  --ef-search N         HNSW per-request query budget (0 = the\n"
-      "                        index default; other indexes ignore it)\n"
-      "  --min-confidence X    publish threshold (default 0.5)\n"
-      "  --no-checker-gate     publish without the Sec. 6.3 checker gate\n"
-      "  --infer-locals        pytype-like inference inside the gate\n"
-      "  --no-simd             pin the scalar reference kernels\n",
-      Argv0);
+      "  --min-confidence X     publish threshold (default 0.5)\n"
+      "  --no-checker-gate      publish without the Sec. 6.3 checker gate\n"
+      "  --infer-locals         pytype-like inference inside the gate\n"
+      "%s",
+      Argv0, tools::kRuntimeUsage);
   return 2;
 }
 
 bool parseOptions(int Argc, char **Argv, Options &O) {
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
-    auto Next = [&](const char *What) -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s expects a value\n", What);
-        return nullptr;
-      }
-      return Argv[++I];
-    };
+    auto Next = [&] { return tools::flagValue(Argc, Argv, I); };
     const char *V = nullptr;
     if (A == "--model") {
-      if (!(V = Next("--model")))
+      if (!(V = Next()))
         return false;
       O.ModelPath = V;
     } else if (A == "--socket") {
-      if (!(V = Next("--socket")))
+      if (!(V = Next()))
         return false;
       O.SocketPath = V;
     } else if (A == "--stdio") {
       O.Stdio = true;
-    } else if (A == "--threads") {
-      if (!(V = Next("--threads")))
-        return false;
-      O.Threads = std::atoi(V);
-    } else if (A == "--ef-search") {
-      if (!(V = Next("--ef-search")))
-        return false;
-      O.EfSearch = std::atoi(V);
     } else if (A == "--min-confidence") {
-      if (!(V = Next("--min-confidence")))
+      if (!(V = Next()))
         return false;
       O.MinConfidence = std::atof(V);
     } else if (A == "--no-checker-gate") {
       O.NoCheckerGate = true;
     } else if (A == "--infer-locals") {
       O.InferLocals = true;
-    } else if (A == "--no-simd") {
-      O.NoSimd = true;
+    } else if (int R = O.Runtime.parse(Argc, Argv, I)) {
+      if (R < 0)
+        return false;
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", A.c_str());
       return false;
@@ -181,8 +163,6 @@ int main(int Argc, char **Argv) {
   Options O;
   if (!parseOptions(Argc, Argv, O))
     return 2;
-  if (O.NoSimd)
-    nn::simd::setSimdEnabled(false);
   if (O.ModelPath.empty() || (O.Stdio == !O.SocketPath.empty()))
     return usage(Argv[0]);
 
@@ -197,19 +177,13 @@ int main(int Argc, char **Argv) {
   sigaction(SIGTERM, &SA, nullptr);
   sigaction(SIGINT, &SA, nullptr);
 
-  setGlobalNumThreads(O.Threads);
-
   std::string Err;
   std::unique_ptr<Predictor> P = Predictor::load(O.ModelPath, &Err);
   if (!P) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
-  KnnOptions KO = P->knnOptions();
-  KO.NumThreads = O.Threads;
-  if (O.EfSearch > 0)
-    KO.EfSearch = O.EfSearch;
-  P->setKnnOptions(KO);
+  O.Runtime.apply(*P);
   const ModelConfig &MC = P->model().config();
   // stdout is the protocol channel; human chatter goes to stderr.
   std::fprintf(stderr, "typilus_lsp: loaded %s (%s/%s, D=%d%s)\n",

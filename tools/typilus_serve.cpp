@@ -19,11 +19,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RuntimeOptions.h"
+
 #include "corpus/Dataset.h"
-#include "nn/Simd.h"
 #include "serve/Server.h"
 #include "support/Socket.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
 #include <csignal>
@@ -47,14 +47,12 @@ struct Options {
   std::string Host = "127.0.0.1";
   int Port = -1; ///< -1 = no TCP transport.
   bool Stdio = false;
-  int Threads = 0;
+  tools::RuntimeOptions Runtime; ///< --threads, --ef-search, --no-simd.
   int MaxBatch = 16;
   long MaxRequestBytes = static_cast<long>(kDefaultMaxRequestBytes);
   int Limit = -1;
   int CacheEntries = 1024;
   int MaxQueue = 0;
-  int EfSearch = 0;    ///< --ef-search: HNSW query budget (0 = default).
-  bool NoSimd = false; ///< --no-simd: pin the scalar kernel table.
 };
 
 int usage(const char *Argv0) {
@@ -69,7 +67,6 @@ int usage(const char *Argv0) {
       "transports share one pipeline and one cache. SIGHUP reloads the\n"
       "artifact from --model without dropping queued requests. Options:\n"
       "  --host ADDR            TCP bind address (default 127.0.0.1)\n"
-      "  --threads N            pool size (0 = hardware, 1 = serial)\n"
       "  --max-batch N          requests coalesced per dispatch (default 16)\n"
       "  --max-request-bytes N  per-line cap (default 4194304)\n"
       "  --limit N              default candidates per symbol (-1 = all)\n"
@@ -78,74 +75,58 @@ int usage(const char *Argv0) {
       "                         0 = off)\n"
       "  --max-queue N          shed predicts with an `overloaded` error\n"
       "                         past this queue depth (default 0 = off)\n"
-      "  --ef-search N          HNSW per-request query budget (layer-0\n"
-      "                         beam width; 0 = the index default,\n"
-      "                         max(4k, 64); other indexes ignore it)\n"
-      "  --no-simd              pin the scalar reference kernels\n"
-      "                         (bit-reproducible across hosts)\n",
-      Argv0);
+      "%s",
+      Argv0, tools::kRuntimeUsage);
   return 2;
 }
 
 bool parseOptions(int Argc, char **Argv, Options &O) {
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
-    auto Next = [&](const char *What) -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s expects a value\n", What);
-        return nullptr;
-      }
-      return Argv[++I];
-    };
+    auto Next = [&] { return tools::flagValue(Argc, Argv, I); };
     const char *V = nullptr;
     if (A == "--model") {
-      if (!(V = Next("--model")))
+      if (!(V = Next()))
         return false;
       O.ModelPath = V;
     } else if (A == "--socket") {
-      if (!(V = Next("--socket")))
+      if (!(V = Next()))
         return false;
       O.SocketPath = V;
     } else if (A == "--port") {
-      if (!(V = Next("--port")))
+      if (!(V = Next()) ||
+          !tools::parseIntFlag("--port", V, 0, 65535,
+                               "a port number in 0..65535", &O.Port))
         return false;
-      O.Port = std::atoi(V);
     } else if (A == "--host") {
-      if (!(V = Next("--host")))
+      if (!(V = Next()))
         return false;
       O.Host = V;
     } else if (A == "--stdio") {
       O.Stdio = true;
-    } else if (A == "--threads") {
-      if (!(V = Next("--threads")))
-        return false;
-      O.Threads = std::atoi(V);
     } else if (A == "--max-batch") {
-      if (!(V = Next("--max-batch")))
+      if (!(V = Next()))
         return false;
       O.MaxBatch = std::atoi(V);
     } else if (A == "--max-request-bytes") {
-      if (!(V = Next("--max-request-bytes")))
+      if (!(V = Next()))
         return false;
       O.MaxRequestBytes = std::atol(V);
     } else if (A == "--limit") {
-      if (!(V = Next("--limit")))
+      if (!(V = Next()))
         return false;
       O.Limit = std::atoi(V);
     } else if (A == "--cache-entries") {
-      if (!(V = Next("--cache-entries")))
+      if (!(V = Next()))
         return false;
       O.CacheEntries = std::atoi(V);
     } else if (A == "--max-queue") {
-      if (!(V = Next("--max-queue")))
+      if (!(V = Next()))
         return false;
       O.MaxQueue = std::atoi(V);
-    } else if (A == "--ef-search") {
-      if (!(V = Next("--ef-search")))
+    } else if (int R = O.Runtime.parse(Argc, Argv, I)) {
+      if (R < 0)
         return false;
-      O.EfSearch = std::atoi(V);
-    } else if (A == "--no-simd") {
-      O.NoSimd = true;
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", A.c_str());
       return false;
@@ -274,8 +255,6 @@ int main(int Argc, char **Argv) {
   Options O;
   if (!parseOptions(Argc, Argv, O))
     return 2;
-  if (O.NoSimd)
-    nn::simd::setSimdEnabled(false);
   bool HaveListener = !O.SocketPath.empty() || O.Port >= 0;
   if (O.ModelPath.empty() || (!HaveListener && !O.Stdio) ||
       (HaveListener && O.Stdio))
@@ -294,19 +273,13 @@ int main(int Argc, char **Argv) {
   SA.sa_handler = onHupSignal;
   sigaction(SIGHUP, &SA, nullptr);
 
-  setGlobalNumThreads(O.Threads);
-
   std::string Err;
   std::unique_ptr<Predictor> P = Predictor::load(O.ModelPath, &Err);
   if (!P) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
-  KnnOptions KO = P->knnOptions();
-  KO.NumThreads = O.Threads;
-  if (O.EfSearch > 0)
-    KO.EfSearch = O.EfSearch;
-  P->setKnnOptions(KO);
+  O.Runtime.apply(*P);
   const ModelConfig &MC = P->model().config();
   // In stdio mode stdout IS the response channel — NDJSON only; human
   // chatter goes to stderr there.
@@ -327,19 +300,12 @@ int main(int Argc, char **Argv) {
   SO.OnShutdown = [] { requestStop(); };
   // Hot reload: re-read the artifact from the path given at startup.
   // Runs on the dispatcher thread; failure keeps the current artifact.
-  std::string ModelPath = O.ModelPath;
-  int Threads = O.Threads;
-  int EfSearch = O.EfSearch;
-  SO.OnReload = [ModelPath, Threads, EfSearch,
+  SO.OnReload = [ModelPath = O.ModelPath, Runtime = O.Runtime,
                  Stdio = O.Stdio](std::string *Err) -> std::shared_ptr<Predictor> {
     std::shared_ptr<Predictor> NewP = Predictor::load(ModelPath, Err);
     if (!NewP)
       return nullptr;
-    KnnOptions KO = NewP->knnOptions();
-    KO.NumThreads = Threads;
-    if (EfSearch > 0)
-      KO.EfSearch = EfSearch;
-    NewP->setKnnOptions(KO);
+    Runtime.apply(*NewP);
     std::fprintf(Stdio ? stderr : stdout, "typilus_serve: reloaded %s\n",
                  ModelPath.c_str());
     std::fflush(Stdio ? stderr : stdout);
