@@ -21,6 +21,8 @@ int main() {
   auto Model = makeModel(MC, WB.DS, *WB.U);
   TrainOptions TO = bench::makeTrainOptions(S);
   trainModel(*Model, WB.DS.Train, TO);
+  // Every embedding below is inference: no autograd DAG, as in serving.
+  nn::NoGradGuard NoGrad;
 
   // τmap over train+valid.
   TypeMap Map(MC.HiddenDim);

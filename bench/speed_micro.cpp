@@ -197,6 +197,32 @@ BENCHMARK(BM_GemmSimd)
     ->ArgNames({"simd"})
     ->Unit(benchmark::kMicrosecond);
 
+/// [M,K] x [K,32] GEMM at the encoder's shapes: the GGNN message / GRU
+/// products (M = 394 nodes, K = 32) and the char-CNN window projection
+/// (M = 1600 windows, K = 48). With simd = 1 on AVX2 these run the
+/// table's GemmSmallN microkernel. Args: M, K, simd.
+void BM_GemmSmallN(benchmark::State &State) {
+  SimdPin Pin(State.range(2) != 0);
+  setGlobalNumThreads(1);
+  const int64_t M = State.range(0), K = State.range(1), N = 32;
+  Rng R(10);
+  Tensor A = Tensor::randn(M, K, R, 1.f), B = Tensor::randn(K, N, R, 1.f);
+  Tensor C(M, N);
+  for (auto _ : State) {
+    gemm(false, false, M, N, K, 1.f, A.data(), B.data(), 0.f, C.data());
+    benchmark::DoNotOptimize(C.data());
+  }
+  setGlobalNumThreads(0);
+  State.SetItemsProcessed(State.iterations() * 2 * M * N * K);
+}
+BENCHMARK(BM_GemmSmallN)
+    ->Args({394, 32, 0})
+    ->Args({394, 32, 1})
+    ->Args({1600, 48, 0})
+    ->Args({1600, 48, 1})
+    ->ArgNames({"m", "k", "simd"})
+    ->Unit(benchmark::kMicrosecond);
+
 /// Shared body for the fused activation benches: refill from the same
 /// random source each iteration (both arms pay the same memcpy), then run
 /// the in-place kernel.
@@ -357,6 +383,8 @@ void BM_GnnInferencePerGraph(benchmark::State &State) {
   SpeedEnv &E = SpeedEnv::get();
   const FileExample &F = E.WB.DS.Test.front();
   for (auto _ : State) {
+    // Inference mode, as the Predictor embeds when serving.
+    nn::NoGradGuard NoGrad;
     std::vector<const Target *> Targets;
     benchmark::DoNotOptimize(E.GraphModel->embed({&F}, &Targets));
   }
@@ -425,8 +453,8 @@ int main(int argc, char **argv) {
     Args.push_back(argv[I]);
   }
   std::string Filter = "--benchmark_filter=BM_(MatmulKernel|GgnnStep|"
-                       "KnnQueryBatch|AnnoyBuild|GemmSimd|SigmoidSimd|"
-                       "TanhSimd|SoftmaxSimd|PairwiseL1Simd|TmapScanSimd)";
+                       "KnnQueryBatch|AnnoyBuild|GemmSimd|GemmSmallN|"
+                       "SigmoidSimd|TanhSimd|SoftmaxSimd|PairwiseL1Simd|TmapScanSimd)";
   if (Quick)
     Args.push_back(Filter.data());
   int ArgC = static_cast<int>(Args.size());

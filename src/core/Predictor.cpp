@@ -50,6 +50,7 @@ Predictor Predictor::knn(TypeModel &Model, ExampleSource &MapFiles,
     std::vector<Tensor> Embs(W);
     std::vector<std::vector<const Target *>> Targets(W);
     auto EmbedOne = [&](size_t I) {
+      nn::NoGradGuard NoGrad; // thread-local: held on the embedding thread
       nn::Value Emb = Model.embed({Window[I]}, &Targets[I]);
       if (Emb.defined())
         Embs[I] = Emb.val();
@@ -294,6 +295,7 @@ void Predictor::addMarker(const float *Embedding, TypeRef T) {
 void Predictor::addMarkersFrom(const FileExample &File) {
   assert(IsKnn && "markers only apply to kNN predictors");
   std::vector<const Target *> Targets;
+  nn::NoGradGuard NoGrad;
   nn::Value Emb = Model->embed({&File}, &Targets);
   ++EmbedCalls;
   if (!Emb.defined())
@@ -307,9 +309,11 @@ void Predictor::addMarkersFrom(const FileExample &File) {
 
 /// Copies the stable identity of target \p T (index \p I of \p File's
 /// Targets) into \p R — everything downstream consumers need once the
-/// dataset is gone.
+/// dataset is gone. \p Owned is the universe a loaded predictor owns (else
+/// null): the truth type is re-interned there, because \p File's types
+/// may live in a caller's universe that dies before the results do.
 static void fillIdentity(PredictionResult &R, const FileExample &File,
-                         const Target &T, size_t I) {
+                         const Target &T, size_t I, TypeUniverse *Owned) {
   R.FilePath = File.Path;
   R.TargetIdx = static_cast<int>(I);
   R.NodeIdx = T.NodeIdx;
@@ -319,7 +323,7 @@ static void fillIdentity(PredictionResult &R, const FileExample &File,
                    : -1;
   R.SymbolName = T.Name;
   R.Kind = T.Kind;
-  R.Truth = T.Type;
+  R.Truth = Owned && T.Type ? Owned->intern(T.Type) : T.Type;
 }
 
 std::vector<PredictionResult> Predictor::predictFile(const FileExample &File) {
@@ -367,6 +371,7 @@ Predictor::annotateIncremental(const std::string &Path,
   FileExample Ex = buildExample(CorpusFile{Path, Source}, *U, {});
   std::vector<const Target *> Targets;
   auto EmbedT0 = std::chrono::steady_clock::now();
+  nn::NoGradGuard NoGrad;
   nn::Value Emb = Model->embed({&Ex}, &Targets);
   ++EmbedCalls;
   EmbedMicros += microsSince(EmbedT0);
@@ -383,7 +388,7 @@ Predictor::annotateIncremental(const std::string &Path,
     Out.reserve(Targets.size());
     for (size_t I = 0; I != Targets.size(); ++I) {
       PredictionResult R;
-      fillIdentity(R, Ex, *Targets[I], I);
+      fillIdentity(R, Ex, *Targets[I], I, OwnedU.get());
       R.Candidates = scoreNeighbors(*Map, Neigh[I], Knn.P);
       Out.push_back(std::move(R));
     }
@@ -439,6 +444,7 @@ Predictor::predictBatch(const std::vector<const FileExample *> &Files) {
   std::vector<Tensor> Embs(N);
   std::vector<std::vector<const Target *>> Targets(N);
   auto EmbedOne = [&](size_t I) {
+    nn::NoGradGuard NoGrad; // thread-local: held on the embedding thread
     nn::Value Emb = Model->embed({Files[I]}, &Targets[I]);
     if (Emb.defined())
       Embs[I] = Emb.val();
@@ -482,7 +488,7 @@ Predictor::predictBatch(const std::vector<const FileExample *> &Files) {
     for (size_t F = 0; F != N; ++F)
       for (size_t I = 0; I != Targets[F].size(); ++I) {
         PredictionResult R;
-        fillIdentity(R, *Files[F], *Targets[F][I], I);
+        fillIdentity(R, *Files[F], *Targets[F][I], I, OwnedU.get());
         R.Candidates = scoreNeighbors(*Map, Neigh[Row++], Knn.P);
         Out[F].push_back(std::move(R));
       }
@@ -492,13 +498,14 @@ Predictor::predictBatch(const std::vector<const FileExample *> &Files) {
   // Classification path: per-file softmax over the closed vocabulary
   // (row results are independent, so per-file equals one stacked pass).
   const TypeIdMap &Full = Model->typeVocabs().Full;
+  nn::NoGradGuard NoGrad;
   for (size_t F = 0; F != N; ++F) {
     if (Embs[F].numel() == 0)
       continue;
     Tensor Probs = Model->classProbs(nn::Value::constant(Embs[F]));
     for (size_t I = 0; I != Targets[F].size(); ++I) {
       PredictionResult R;
-      fillIdentity(R, *Files[F], *Targets[F][I], I);
+      fillIdentity(R, *Files[F], *Targets[F][I], I, OwnedU.get());
       // Keep the top few candidates for PR sweeps.
       std::vector<std::pair<float, int>> Ranked;
       for (int64_t C = 0; C != Probs.cols(); ++C)

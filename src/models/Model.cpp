@@ -237,7 +237,7 @@ Value TypeModel::statesForLabels(const std::vector<std::string> &Labels) {
       FlatIds.push_back(Id);
       Owner.push_back(static_cast<int>(I));
     }
-  return scatterMean(SubEmb.rows(std::move(FlatIds)), std::move(Owner), N);
+  return scatterMean(SubEmb.rows(FlatIds), Owner, N);
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,6 +11,12 @@
 /// This is the substrate for the GGNN, the biGRU baseline, the path encoder
 /// and all three training losses of the paper (Eqs. 1, 3, 4).
 ///
+/// Inference mode: while a `NoGradGuard` is live on the calling thread,
+/// ops build no DAG. Their outputs keep no parents, never need a gradient
+/// and carry no backward closure, and ops skip bookkeeping only backward
+/// reads (scatterMax's argmax table). Output values are bit-identical
+/// either way.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TYPILUS_NN_AUTOGRAD_H
@@ -76,6 +82,24 @@ private:
   std::shared_ptr<Node> N;
 };
 
+/// True unless a NoGradGuard is live on this thread.
+bool gradEnabled();
+
+/// Scoped inference mode for the calling thread (see the file comment).
+/// Guards nest; each restores the mode it found. The mode is thread-local,
+/// so a guard covers only ops run on its own thread: code that runs ops on
+/// pool workers must hold a guard inside the worker body.
+class NoGradGuard {
+public:
+  NoGradGuard();
+  ~NoGradGuard();
+  NoGradGuard(const NoGradGuard &) = delete;
+  NoGradGuard &operator=(const NoGradGuard &) = delete;
+
+private:
+  bool Saved;
+};
+
 //===----------------------------------------------------------------------===//
 // Ops. Unless noted, tensors are rank-2 [rows, cols].
 //===----------------------------------------------------------------------===//
@@ -102,17 +126,18 @@ Value concatRows(const std::vector<Value> &Parts);
 /// Softmax(Scores)-weighted sum of Rows: ([K,1], [K,D]) -> [1,D].
 /// (The code2seq-style self-weighted path average, Sec. 6.1.)
 Value attentionPool(Value Scores, Value Rows);
+// The index-list ops below copy a list only into a backward closure, so
+// callers can reuse one list across timesteps and inference copies none.
 /// Out[i] = A[Idx[i]].
-Value gatherRows(Value A, std::vector<int> Idx);
+Value gatherRows(Value A, const std::vector<int> &Idx);
 /// Out[n] = elementwise max over {Msgs[e] : Dst[e] == n}; 0 when empty.
 /// The GGNN message aggregation (the paper uses max pooling, Sec. 4.3).
-/// \p Dst is only read during the forward pass (the backward keeps the
-/// argmax table instead), so callers can reuse one list across timesteps.
+/// The backward keeps an argmax table instead of \p Dst.
 Value scatterMax(Value Msgs, const std::vector<int> &Dst, int64_t NumRows);
 /// Out[n] = mean over {Msgs[e] : Dst[e] == n}; 0 when empty.
-Value scatterMean(Value Msgs, std::vector<int> Dst, int64_t NumRows);
+Value scatterMean(Value Msgs, const std::vector<int> &Dst, int64_t NumRows);
 /// Out = Base, then Out[Idx[m]] += Rows[m] for each m.
-Value indexAddRows(Value Base, std::vector<int> Idx, Value Rows);
+Value indexAddRows(Value Base, const std::vector<int> &Idx, Value Rows);
 /// [N,D] -> [1,D] columnwise max.
 Value reduceMaxRows(Value A);
 /// Mean of all entries -> scalar [1].

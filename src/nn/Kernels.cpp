@@ -80,6 +80,11 @@ void gemmRowsDotStrided(int64_t RB, int64_t RE, int64_t N, int64_t K,
 
 } // namespace
 
+bool kernels::usesGemmSmallN(const simd::KernelTable &KT, bool TransB,
+                             int64_t N) {
+  return !TransB && N > 0 && N <= 32 && N % 8 == 0 && KT.GemmSmallN;
+}
+
 void typilus::gemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,
                    float Alpha, const float *A, const float *B, float Beta,
                    float *C) {
@@ -103,6 +108,14 @@ void typilus::gemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,
   auto ANorm = [A, Lda](int64_t I, int64_t P) { return A[I * Lda + P]; };
   auto ATrans = [A, Lda](int64_t I, int64_t P) { return A[P * Lda + I]; };
 
+  if (kernels::usesGemmSmallN(KT, TransB, N)) {
+    // A(i, p) = A[i * Lda + p], or A[p * Lda + i] when transposed.
+    const int64_t Asi = TransA ? 1 : Lda, Asp = TransA ? Lda : 1;
+    parallelFor(0, M, Grain, [&](int64_t RB, int64_t RE) {
+      KT.GemmSmallN(RB, RE, N, K, Alpha, A, Asi, Asp, B, C);
+    });
+    return;
+  }
   if (!TransB) {
     if (!TransA)
       parallelFor(0, M, Grain, [&](int64_t RB, int64_t RE) {

@@ -33,6 +33,9 @@ void gemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,
           float Alpha, const float *A, const float *B, float Beta, float *C);
 
 namespace nn {
+namespace simd {
+struct KernelTable;
+} // namespace simd
 namespace kernels {
 
 /// Elementwise kernels below this many elements run inline; at or above it
@@ -40,6 +43,12 @@ namespace kernels {
 constexpr int64_t ElementwiseGrain = 16384;
 /// GEMMs with fewer multiply-adds than this run single-threaded.
 constexpr int64_t GemmParallelFlops = 1 << 17;
+
+/// True when gemm(TransA, TransB, ...) with this N, dispatching through
+/// \p KT, runs its rows through KT's GemmSmallN microkernel: non-transposed
+/// B, N <= 32 with N % 8 == 0, and a table that has one. Either way the
+/// result is bit-identical to the AxpyRow loop (nn/Simd.h).
+bool usesGemmSmallN(const simd::KernelTable &KT, bool TransB, int64_t N);
 
 /// Row grain for row-parallel loops over [Rows, D] matrices: chunks carry
 /// at least ~ElementwiseGrain elements. Shared by the kernels and the ops

@@ -90,12 +90,11 @@ Value CharCnn::encodeBatch(const std::vector<std::string> &Words) const {
       Owner.push_back(static_cast<int>(W));
     }
   }
-  Value Emb = CharEmb.rows(std::move(Ids));
-  Value Win = concatCols(concatCols(gatherRows(Emb, std::move(Left)),
-                                    gatherRows(Emb, std::move(Mid))),
-                         gatherRows(Emb, std::move(Right)));
+  Value Emb = CharEmb.rows(Ids);
+  Value Win = concatCols(concatCols(gatherRows(Emb, Left), gatherRows(Emb, Mid)),
+                         gatherRows(Emb, Right));
   // Per-word max-over-time == reduceMaxRows over each word's window block.
-  return scatterMax(relu(Conv.apply(Win)), std::move(Owner),
+  return scatterMax(relu(Conv.apply(Win)), Owner,
                     static_cast<int64_t>(Words.size()));
 }
 

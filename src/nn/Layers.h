@@ -60,7 +60,7 @@ public:
   Embedding(int64_t Vocab, int64_t Dim, ParamSet &PS, Rng &R);
 
   /// Rows for the given ids: [|Ids|, Dim].
-  Value rows(std::vector<int> Ids) const { return gatherRows(W, std::move(Ids)); }
+  Value rows(const std::vector<int> &Ids) const { return gatherRows(W, Ids); }
 
   Value W;
 };

@@ -8,6 +8,10 @@
 // loops — in the exact seed order — so every op is bit-reproducible for
 // any thread count.
 //
+// Under a NoGradGuard (inference mode) makeOut records no parents and no
+// NeedsGrad, so the `if (N->NeedsGrad)` blocks below attach nothing and
+// the outputs form no DAG.
+//
 //===----------------------------------------------------------------------===//
 
 #include "nn/Autograd.h"
@@ -26,12 +30,17 @@ using namespace typilus::nn::kernels;
 
 namespace {
 
+thread_local bool GradEnabled = true;
+
 /// Creates the output node for an op with the given parents; wires
-/// NeedsGrad. The backward closure is attached afterwards iff needed.
+/// NeedsGrad (never under a NoGradGuard). The backward closure is attached
+/// afterwards iff needed.
 std::shared_ptr<Node> makeOut(Tensor Val,
                               std::initializer_list<Value> Parents) {
   auto Out = std::make_shared<Node>();
   Out->Val = std::move(Val);
+  if (!GradEnabled)
+    return Out;
   for (const Value &P : Parents) {
     assert(P.defined() && "op on undefined Value");
     Out->Prev.push_back(P.node());
@@ -41,6 +50,12 @@ std::shared_ptr<Node> makeOut(Tensor Val,
 }
 
 } // namespace
+
+bool nn::gradEnabled() { return GradEnabled; }
+
+NoGradGuard::NoGradGuard() : Saved(GradEnabled) { GradEnabled = false; }
+
+NoGradGuard::~NoGradGuard() { GradEnabled = Saved; }
 
 Value nn::add(Value A, Value B) {
   const Tensor &TA = A.val(), &TB = B.val();
@@ -305,10 +320,11 @@ Value nn::concatRows(const std::vector<Value> &Parts) {
   }
   auto N = std::make_shared<Node>();
   N->Val = std::move(Out);
-  for (const Value &P : Parts) {
-    N->Prev.push_back(P.node());
-    N->NeedsGrad |= P.node()->NeedsGrad;
-  }
+  if (GradEnabled)
+    for (const Value &P : Parts) {
+      N->Prev.push_back(P.node());
+      N->NeedsGrad |= P.node()->NeedsGrad;
+    }
   if (N->NeedsGrad) {
     Node *O = N.get();
     auto Parents = N->Prev;
@@ -381,7 +397,7 @@ Value nn::attentionPool(Value Scores, Value Rows) {
   return Value(std::move(N));
 }
 
-Value nn::gatherRows(Value A, std::vector<int> Idx) {
+Value nn::gatherRows(Value A, const std::vector<int> &Idx) {
   const Tensor &TA = A.val();
   assert(TA.rank() == 2 && "gatherRows needs a matrix");
   int64_t D = TA.cols();
@@ -397,7 +413,7 @@ Value nn::gatherRows(Value A, std::vector<int> Idx) {
     Node *O = N.get();
     auto NA = A.node();
     // Backward scatters with possibly repeated indices: serial.
-    N->BackwardFn = [O, NA, Idx = std::move(Idx), D] {
+    N->BackwardFn = [O, NA, Idx, D] {
       NA->ensureGrad();
       for (size_t I = 0; I != Idx.size(); ++I)
         for (int64_t J = 0; J != D; ++J)
@@ -414,19 +430,37 @@ Value nn::scatterMax(Value Msgs, const std::vector<int> &Dst,
          "scatterMax shape mismatch");
   int64_t D = TM.cols();
   Tensor Out(NumRows, D);
-  // Argmax message per (row, dim); -1 = no message (output stays 0).
-  // Destination-conflicting writes: serial, in edge order.
-  std::vector<int> Arg(static_cast<size_t>(NumRows * D), -1);
+  // Destination-conflicting writes: serial, in edge order. The first
+  // message into a row is copied, later ones win only where strictly
+  // greater. Backward needs the argmax message per (row, dim), -1 = none
+  // (output stays 0); inference only needs to know whether a row has
+  // been written, which every message does for all D columns at once.
+  const bool KeepArg = GradEnabled && Msgs.needsGrad();
+  std::vector<int> Arg;
+  std::vector<char> Seen;
+  if (KeepArg)
+    Arg.assign(static_cast<size_t>(NumRows * D), -1);
+  else
+    Seen.assign(static_cast<size_t>(NumRows), 0);
   for (size_t E = 0; E != Dst.size(); ++E) {
     int Nd = Dst[E];
     assert(Nd >= 0 && Nd < NumRows && "scatter destination out of range");
-    for (int64_t J = 0; J != D; ++J) {
-      float V = TM.at(static_cast<int64_t>(E), J);
-      int &Slot = Arg[static_cast<size_t>(Nd * D + J)];
-      if (Slot < 0 || V > Out.at(Nd, J)) {
-        Out.at(Nd, J) = V;
-        Slot = static_cast<int>(E);
-      }
+    const float *Msg = TM.data() + static_cast<int64_t>(E) * D;
+    float *Row = Out.data() + Nd * D;
+    if (KeepArg) {
+      int *Slot = Arg.data() + Nd * D;
+      for (int64_t J = 0; J != D; ++J)
+        if (Slot[J] < 0 || Msg[J] > Row[J]) {
+          Row[J] = Msg[J];
+          Slot[J] = static_cast<int>(E);
+        }
+    } else if (!Seen[static_cast<size_t>(Nd)]) {
+      Seen[static_cast<size_t>(Nd)] = 1;
+      std::memcpy(Row, Msg, static_cast<size_t>(D) * sizeof(float));
+    } else {
+      for (int64_t J = 0; J != D; ++J)
+        if (Msg[J] > Row[J])
+          Row[J] = Msg[J];
     }
   }
   auto N = makeOut(std::move(Out), {Msgs});
@@ -446,7 +480,8 @@ Value nn::scatterMax(Value Msgs, const std::vector<int> &Dst,
   return Value(std::move(N));
 }
 
-Value nn::scatterMean(Value Msgs, std::vector<int> Dst, int64_t NumRows) {
+Value nn::scatterMean(Value Msgs, const std::vector<int> &Dst,
+                      int64_t NumRows) {
   const Tensor &TM = Msgs.val();
   assert(TM.rank() == 2 && TM.rows() == static_cast<int64_t>(Dst.size()) &&
          "scatterMean shape mismatch");
@@ -468,8 +503,7 @@ Value nn::scatterMean(Value Msgs, std::vector<int> Dst, int64_t NumRows) {
     Node *O = N.get();
     auto NM = Msgs.node();
     // Backward writes one distinct source row per message: row-parallel.
-    N->BackwardFn = [O, NM, Dst = std::move(Dst), Count = std::move(Count),
-                     D] {
+    N->BackwardFn = [O, NM, Dst, Count = std::move(Count), D] {
       NM->ensureGrad();
       int64_t NumMsgs = static_cast<int64_t>(Dst.size());
       parallelFor(0, NumMsgs, rowGrain(D), [&](int64_t Lo, int64_t Hi) {
@@ -487,7 +521,8 @@ Value nn::scatterMean(Value Msgs, std::vector<int> Dst, int64_t NumRows) {
   return Value(std::move(N));
 }
 
-Value nn::indexAddRows(Value Base, std::vector<int> Idx, Value Rows) {
+Value nn::indexAddRows(Value Base, const std::vector<int> &Idx,
+                       Value Rows) {
   const Tensor &TB = Base.val(), &TR = Rows.val();
   assert(TB.rank() == 2 && TR.rank() == 2 && TB.cols() == TR.cols() &&
          TR.rows() == static_cast<int64_t>(Idx.size()) &&
@@ -504,7 +539,7 @@ Value nn::indexAddRows(Value Base, std::vector<int> Idx, Value Rows) {
   if (N->NeedsGrad) {
     Node *O = N.get();
     auto NB = Base.node(), NR = Rows.node();
-    N->BackwardFn = [O, NB, NR, Idx = std::move(Idx), D] {
+    N->BackwardFn = [O, NB, NR, Idx, D] {
       if (NB->NeedsGrad) {
         NB->ensureGrad();
         addInPlace(NB->Grad.data(), O->Grad.data(), O->Grad.numel());

@@ -123,12 +123,13 @@ void scalarSoftmaxRow(float *Row, int64_t Cols) {
     Row[C] /= Sum;
 }
 
+// GemmSmallN is null: the scalar reference keeps GEMM's AxpyRow loop.
 constexpr simd::KernelTable ScalarTable = {
-    scalarAxpyRow, scalarDot,        scalarL1,   scalarL1F16,
-    scalarL1I8,    scalarAdd,        scalarSub,  scalarMul,
-    scalarScale,   scalarMulAcc,     scalarSigmoid, scalarSigmoidBwd,
-    scalarTanh,    scalarTanhBwd,    scalarRelu, scalarReluBwd,
-    scalarSoftmaxRow, simd::Isa::Scalar,
+    scalarAxpyRow,    scalarDot,        nullptr,       scalarL1,
+    scalarL1F16,      scalarL1I8,       scalarAdd,     scalarSub,
+    scalarMul,        scalarScale,      scalarMulAcc,  scalarSigmoid,
+    scalarSigmoidBwd, scalarTanh,       scalarTanhBwd, scalarRelu,
+    scalarReluBwd,    scalarSoftmaxRow, simd::Isa::Scalar,
 };
 
 } // namespace

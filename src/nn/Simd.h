@@ -40,12 +40,24 @@ namespace simd {
 
 enum class Isa { Scalar, Avx2, Neon };
 
-/// The per-ISA entry points. All pointers are always non-null.
+/// The per-ISA entry points. All pointers are non-null except GemmSmallN.
 struct KernelTable {
   /// dst[i] += a * x[i] — the GEMM k-j inner tile and axpyAcc.
   void (*AxpyRow)(float *Dst, float A, const float *X, int64_t N);
   /// Contiguous dot product — the transposed-B GEMM inner loop.
   float (*Dot)(const float *A, const float *B, int64_t N);
+  /// Rows [RB, RE) of the non-transposed-B GEMM for narrow C: for each row
+  /// i and ascending p, C[i, :] += Alpha * A(i, p) * B[p, :], where
+  /// A(i, p) = A[i * Asi + p * Asp], B is [K, N] and C is [*, N], both
+  /// row-major. Only called with N <= 32 and N % 8 == 0 (the GGNN's
+  /// hidden width), so a C row stays in registers while p streams. Every
+  /// element sees the operation sequence of one AxpyRow call per (i, p):
+  /// the Alpha * A(i, p) product, the skip when it == 0, then this table's
+  /// AxpyRow step. Null when the table has none: GEMM then runs that
+  /// AxpyRow loop itself.
+  void (*GemmSmallN)(int64_t RB, int64_t RE, int64_t N, int64_t K,
+                     float Alpha, const float *A, int64_t Asi, int64_t Asp,
+                     const float *B, float *C);
 
   /// L1 distances against the three τmap marker encodings. The f16 row is
   /// raw binary16 bit patterns; the int8 row decodes as scale * v.

@@ -17,6 +17,7 @@
 
 #include "support/Float16.h"
 
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <immintrin.h>
@@ -132,6 +133,92 @@ float dot(const float *A, const float *B, int64_t N) {
   for (; I != N; ++I)
     Sum = std::fmaf(A[I], B[I], Sum);
   return Sum;
+}
+
+/// GemmSmallN for N = 8 * NV. Two rows at a time: their 2 * NV C-row
+/// accumulators and the NV vectors of the current B row all stay in
+/// registers while p streams, and the two rows' FMA chains interleave.
+/// Per element this is axpyRow's vector-lane step, fmadd(Alpha * A(i, p),
+/// B[p, j], C[i, j]) in ascending p, skipped when Alpha * A(i, p) == 0.
+/// The V loops must unroll fully, or the accumulators live on the stack.
+template <int NV>
+void gemmSmallNRows(int64_t RB, int64_t RE, int64_t K, float Alpha,
+                    const float *A, int64_t Asi, int64_t Asp, const float *B,
+                    float *C) {
+  constexpr int64_t N = 8 * NV;
+  int64_t I = RB;
+  for (; I + 2 <= RE; I += 2) {
+    float *C0 = C + I * N, *C1 = C0 + N;
+    const float *A0 = A + I * Asi, *A1 = A0 + Asi;
+    __m256 Acc0[NV], Acc1[NV];
+#pragma GCC unroll 4
+    for (int V = 0; V != NV; ++V) {
+      Acc0[V] = _mm256_loadu_ps(C0 + 8 * V);
+      Acc1[V] = _mm256_loadu_ps(C1 + 8 * V);
+    }
+    for (int64_t P = 0; P != K; ++P) {
+      float X0 = Alpha * A0[P * Asp], X1 = Alpha * A1[P * Asp];
+      const float *BRow = B + P * N;
+      __m256 BV[NV];
+#pragma GCC unroll 4
+      for (int V = 0; V != NV; ++V)
+        BV[V] = _mm256_loadu_ps(BRow + 8 * V);
+      if (X0 != 0.f) {
+        __m256 VA = _mm256_set1_ps(X0);
+#pragma GCC unroll 4
+        for (int V = 0; V != NV; ++V)
+          Acc0[V] = _mm256_fmadd_ps(VA, BV[V], Acc0[V]);
+      }
+      if (X1 != 0.f) {
+        __m256 VA = _mm256_set1_ps(X1);
+#pragma GCC unroll 4
+        for (int V = 0; V != NV; ++V)
+          Acc1[V] = _mm256_fmadd_ps(VA, BV[V], Acc1[V]);
+      }
+    }
+#pragma GCC unroll 4
+    for (int V = 0; V != NV; ++V) {
+      _mm256_storeu_ps(C0 + 8 * V, Acc0[V]);
+      _mm256_storeu_ps(C1 + 8 * V, Acc1[V]);
+    }
+  }
+  if (I == RE)
+    return;
+  float *C0 = C + I * N;
+  const float *A0 = A + I * Asi;
+  __m256 Acc0[NV];
+#pragma GCC unroll 4
+  for (int V = 0; V != NV; ++V)
+    Acc0[V] = _mm256_loadu_ps(C0 + 8 * V);
+  for (int64_t P = 0; P != K; ++P) {
+    float X0 = Alpha * A0[P * Asp];
+    if (X0 == 0.f)
+      continue;
+    __m256 VA = _mm256_set1_ps(X0);
+#pragma GCC unroll 4
+    for (int V = 0; V != NV; ++V)
+      Acc0[V] = _mm256_fmadd_ps(VA, _mm256_loadu_ps(B + P * N + 8 * V),
+                                Acc0[V]);
+  }
+#pragma GCC unroll 4
+  for (int V = 0; V != NV; ++V)
+    _mm256_storeu_ps(C0 + 8 * V, Acc0[V]);
+}
+
+void gemmSmallN(int64_t RB, int64_t RE, int64_t N, int64_t K, float Alpha,
+                const float *A, int64_t Asi, int64_t Asp, const float *B,
+                float *C) {
+  switch (N) {
+  case 8:
+    return gemmSmallNRows<1>(RB, RE, K, Alpha, A, Asi, Asp, B, C);
+  case 16:
+    return gemmSmallNRows<2>(RB, RE, K, Alpha, A, Asi, Asp, B, C);
+  case 24:
+    return gemmSmallNRows<3>(RB, RE, K, Alpha, A, Asi, Asp, B, C);
+  default:
+    assert(N == 32 && "GemmSmallN needs N in {8, 16, 24, 32}");
+    return gemmSmallNRows<4>(RB, RE, K, Alpha, A, Asi, Asp, B, C);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -364,9 +451,9 @@ void softmaxRow(float *Row, int64_t Cols) {
 }
 
 constexpr simd::KernelTable Avx2Table = {
-    axpyRow, dot,     l1,         l1F16,   l1I8,    add,
-    sub,     mul,     scale,      mulAcc,  sigmoid, sigmoidBwd,
-    tanhFwd, tanhBwd, relu,       reluBwd, softmaxRow,
+    axpyRow,    dot,     gemmSmallN, l1,   l1F16,   l1I8,
+    add,        sub,     mul,        scale, mulAcc, sigmoid,
+    sigmoidBwd, tanhFwd, tanhBwd,    relu, reluBwd, softmaxRow,
     simd::Isa::Avx2,
 };
 

@@ -228,6 +228,17 @@ bool TypeUniverse::load(ArchiveCursor &C, std::vector<const Type *> &ById,
   return true;
 }
 
+TypeRef TypeUniverse::intern(TypeRef T) {
+  auto It = Interned.find(T->str());
+  if (It != Interned.end())
+    return It->second.get();
+  std::vector<TypeRef> Args;
+  Args.reserve(T->args().size());
+  for (TypeRef A : T->args())
+    Args.push_back(intern(A));
+  return internRaw(T->name(), std::move(Args));
+}
+
 TypeRef TypeUniverse::erase(TypeRef T) {
   assert(T && "erase of null type");
   if (!T->isParametric())

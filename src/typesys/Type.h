@@ -74,6 +74,11 @@ public:
   /// \returns nullptr on malformed input.
   TypeRef parse(std::string_view Text);
 
+  /// The type in *this* universe structurally equal to \p T, which may be
+  /// owned by another universe; \p T itself when it is owned here. T is
+  /// already canonical, so its components intern as they are.
+  TypeRef intern(TypeRef T);
+
   /// Type erasure Er(τ): drops all type parameters ("List[int]" -> "List").
   TypeRef erase(TypeRef T);
 

@@ -221,6 +221,27 @@ TEST(ArtifactTest, PredictionResultsOutliveTheDataset) {
   std::remove(Path.c_str());
 }
 
+TEST(ArtifactTest, PredictionTruthIsInternedInTheLoadedUniverse) {
+  Workbench WB = makeTinyWorkbench();
+  ModelConfig MC = tinyConfig(EncoderKind::Graph, LossKind::Typilus);
+  std::unique_ptr<TypeModel> M = trainTiny(WB, MC);
+  std::string Path = tempArtifactPath("truth");
+  std::string Err;
+  ASSERT_TRUE(makePredictor(WB, *M).save(Path, *WB.U, &Err)) << Err;
+  std::unique_ptr<Predictor> L = Predictor::load(Path, &Err);
+  ASSERT_NE(L, nullptr) << Err;
+  size_t Typed = 0;
+  for (const PredictionResult &P : L->predictAll(WB.DS.Test)) {
+    if (!P.Truth)
+      continue;
+    ++Typed;
+    // The dataset's types live in WB.U; the result's must not.
+    EXPECT_EQ(L->universe()->intern(P.Truth), P.Truth) << P.Truth->str();
+  }
+  EXPECT_GT(Typed, 0u);
+  std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Damaged artifacts are rejected with clear errors
 //===----------------------------------------------------------------------===//

@@ -901,3 +901,276 @@ TEST_F(SimdTest, SimdPathIsThreadCountDeterministic) {
     ASSERT_EQ(One[static_cast<size_t>(I)], Four[static_cast<size_t>(I)])
         << "elem " << I;
 }
+
+//===----------------------------------------------------------------------===//
+// Inference mode (NoGradGuard)
+//
+// Under a guard ops must produce the same bits and build no DAG; the mode
+// is thread-local and scoped.
+//===----------------------------------------------------------------------===//
+
+#include <chrono>
+#include <mutex>
+#include <thread>
+
+namespace {
+
+bool sameBits(const Tensor &X, const Tensor &Y) {
+  return X.sameShape(Y) &&
+         std::memcmp(X.data(), Y.data(),
+                     static_cast<size_t>(X.numel()) * sizeof(float)) == 0;
+}
+
+void expectNoDag(const Value &V, const char *What) {
+  EXPECT_TRUE(V.node()->Prev.empty()) << What;
+  EXPECT_FALSE(V.needsGrad()) << What;
+  EXPECT_FALSE(static_cast<bool>(V.node()->BackwardFn)) << What;
+}
+
+/// Every op the encoders (GGNN, char-CNN, biGRU, path) run in embed(),
+/// each over fresh parameters so it would record a DAG without a guard.
+std::vector<std::pair<const char *, std::function<Value()>>>
+encoderOps(Rng &R) {
+  // Shared inputs; scatter destinations include an empty row (3) and a
+  // repeated one, and one message carries a NaN and a -0.
+  Tensor X = randomTensor(6, 8, R), Y = randomTensor(6, 8, R);
+  Tensor W = randomTensor(8, 5, R), WT = randomTensor(5, 8, R);
+  Tensor Bias(8);
+  for (int64_t I = 0; I != Bias.numel(); ++I)
+    Bias[I] = static_cast<float>(R.normal());
+  Tensor Msgs = randomTensor(6, 8, R);
+  Msgs.at(2, 1) = std::numeric_limits<float>::quiet_NaN();
+  Msgs.at(4, 3) = -0.0f;
+  Tensor Scores = randomTensor(6, 1, R);
+  std::vector<int> Dst{0, 2, 2, 4, 0, 2}, Idx{5, 0, 0, 3};
+  auto P = [](const Tensor &T) { return Value::param(T); };
+  return {
+      {"add", [=] { return add(P(X), P(Y)); }},
+      {"addBias", [=] { return add(P(X), P(Bias)); }},
+      {"sub", [=] { return sub(P(X), P(Y)); }},
+      {"mul", [=] { return mul(P(X), P(Y)); }},
+      {"scale", [=] { return scale(P(X), 0.5f); }},
+      {"matmul", [=] { return matmul(P(X), P(W)); }},
+      {"matmulNT", [=] { return matmulNT(P(X), P(WT)); }},
+      {"sigmoid", [=] { return sigmoid(P(X)); }},
+      {"tanh", [=] { return tanhOp(P(X)); }},
+      {"relu", [=] { return relu(P(X)); }},
+      {"concatCols", [=] { return concatCols(P(X), P(Y)); }},
+      {"concatRows", [=] { return concatRows({P(X), P(Y)}); }},
+      {"gatherRows", [=] { return gatherRows(P(X), Idx); }},
+      {"scatterMax", [=] { return scatterMax(P(Msgs), Dst, 5); }},
+      {"scatterMean", [=] { return scatterMean(P(Msgs), Dst, 5); }},
+      {"indexAddRows",
+       [=] { return indexAddRows(P(X), Idx, gatherRows(P(Y), Idx)); }},
+      {"reduceMaxRows", [=] { return reduceMaxRows(P(Msgs)); }},
+      {"attentionPool", [=] { return attentionPool(P(Scores), P(X)); }},
+  };
+}
+
+} // namespace
+
+TEST(NoGradTest, EncoderOpsAreBitIdenticalAndBuildNoDag) {
+  Rng R(91);
+  for (const auto &[Name, Op] : encoderOps(R)) {
+    Value Taped = Op();
+    EXPECT_TRUE(Taped.needsGrad()) << Name;
+    EXPECT_FALSE(Taped.node()->Prev.empty()) << Name;
+    Value Inference;
+    {
+      NoGradGuard NoGrad;
+      Inference = Op();
+    }
+    EXPECT_TRUE(sameBits(Taped.val(), Inference.val())) << Name;
+    expectNoDag(Inference, Name);
+  }
+}
+
+TEST(NoGradTest, LayersAreBitIdenticalAndBuildNoDag) {
+  Rng R(92);
+  ParamSet PS;
+  CharCnn Cnn(8, 16, PS, R);
+  GruCell Gru(16, 16, PS, R);
+  std::vector<std::string> Words{"loss", "x", "", "gradient", "loss"};
+  Tensor H0 = randomTensor(5, 16, R);
+  auto Run = [&] {
+    Value Chars = Cnn.encodeBatch(Words);
+    return std::make_pair(Chars, Gru.step(Chars, Value::constant(H0)));
+  };
+  auto [Chars, Step] = Run();
+  NoGradGuard NoGrad;
+  auto [NgChars, NgStep] = Run();
+  EXPECT_TRUE(sameBits(Chars.val(), NgChars.val()));
+  EXPECT_TRUE(sameBits(Step.val(), NgStep.val()));
+  expectNoDag(NgChars, "char-CNN");
+  expectNoDag(NgStep, "GRU step");
+}
+
+TEST(NoGradTest, GuardsNestAndRestore) {
+  EXPECT_TRUE(gradEnabled());
+  {
+    NoGradGuard Outer;
+    EXPECT_FALSE(gradEnabled());
+    {
+      NoGradGuard Inner;
+      EXPECT_FALSE(gradEnabled());
+    }
+    EXPECT_FALSE(gradEnabled()) << "the inner guard must restore 'off'";
+  }
+  EXPECT_TRUE(gradEnabled());
+  Value P = Value::param(Tensor::scalar(2.f));
+  EXPECT_TRUE(scale(P, 3.f).needsGrad());
+}
+
+TEST(NoGradTest, GuardIsThreadLocal) {
+  Rng R(93);
+  Tensor X = randomTensor(4, 4, R);
+  NoGradGuard NoGrad;
+  bool OtherThreadTapes = false;
+  std::thread T([&] {
+    OtherThreadTapes =
+        gradEnabled() && scale(Value::param(X), 2.f).needsGrad();
+  });
+  T.join();
+  EXPECT_TRUE(OtherThreadTapes);
+
+  // Pool workers keep their own mode; only the participating caller runs
+  // its chunks under this guard.
+  setGlobalNumThreads(4);
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::mutex Mu;
+  int WorkerChunks = 0, WrongMode = 0;
+  parallelFor(0, 64, 1, [&](int64_t, int64_t) {
+    bool Tapes = scale(Value::param(X), 2.f).needsGrad();
+    bool OnCaller = std::this_thread::get_id() == Caller;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::lock_guard<std::mutex> Lock(Mu);
+    WorkerChunks += !OnCaller;
+    WrongMode += Tapes == OnCaller;
+  });
+  setGlobalNumThreads(0);
+  EXPECT_EQ(WrongMode, 0);
+  EXPECT_GT(WorkerChunks, 0) << "no chunk ran on a pool worker";
+}
+
+TEST(NoGradTest, BackwardAfterTheGuardMatchesTheTapedGradients) {
+  Rng R(94);
+  Tensor X0 = randomTensor(7, 8, R), W0 = randomTensor(8, 8, R);
+  std::vector<int> Dst{0, 1, 1, 2, 0, 2, 1};
+  auto Grads = [&] {
+    Value X = Value::param(X0), W = Value::param(W0);
+    Value H = scatterMax(tanhOp(matmul(X, W)), Dst, 3);
+    backward(meanAll(mul(H, H)));
+    return std::make_pair(X.grad(), W.grad());
+  };
+  auto Want = Grads();
+  {
+    NoGradGuard NoGrad;
+    Value X = Value::param(X0), W = Value::param(W0);
+    scatterMax(tanhOp(matmul(X, W)), Dst, 3);
+  }
+  auto Got = Grads();
+  EXPECT_TRUE(sameBits(Want.first, Got.first));
+  EXPECT_TRUE(sameBits(Want.second, Got.second));
+}
+
+//===----------------------------------------------------------------------===//
+// GEMM small-N microkernel
+//
+// GemmSmallN must reproduce the AxpyRow loop bit for bit, whatever the
+// table, the transpose of A, Alpha, Beta, zeros in A, -0 in C and the
+// thread count; other shapes must keep the AxpyRow loop.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The non-transposed-B GEMM as one AxpyRow call per (i, p) through \p KT.
+void axpyLoopGemm(const simd::KernelTable &KT, bool TransA, int64_t M,
+                  int64_t N, int64_t K, float Alpha, const float *A,
+                  const float *B, float Beta, float *C) {
+  if (Beta == 0.f)
+    std::fill(C, C + M * N, 0.f);
+  else if (Beta != 1.f)
+    for (int64_t I = 0; I != M * N; ++I)
+      C[I] *= Beta;
+  for (int64_t I = 0; I != M; ++I)
+    for (int64_t P = 0; P != K; ++P) {
+      float AIP = Alpha * (TransA ? A[P * M + I] : A[I * K + P]);
+      if (AIP == 0.f)
+        continue;
+      KT.AxpyRow(C + I * N, AIP, B + P * N, N);
+    }
+}
+
+/// Random matrix with every fifth entry an exact zero (the skip path).
+Tensor withZeros(int64_t Rows, int64_t Cols, Rng &R) {
+  Tensor T = randomTensor(Rows, Cols, R);
+  for (int64_t I = 0; I < T.numel(); I += 5)
+    T[I] = 0.f;
+  return T;
+}
+
+void expectGemmMatchesAxpyLoop(bool Simd, int64_t M, int64_t N, int64_t K,
+                               Rng &R) {
+  SimdGuard Table(Simd);
+  const simd::KernelTable &KT = simd::active();
+  for (bool TA : {false, true}) {
+    Tensor A = TA ? withZeros(K, M, R) : withZeros(M, K, R);
+    Tensor B = randomTensor(K, N, R);
+    Tensor C0 = randomTensor(M, N, R);
+    for (int64_t I = 0; I < C0.numel(); I += 3)
+      C0[I] = -0.0f;
+    for (float Beta : {0.f, 1.f}) {
+      Tensor Want = C0;
+      axpyLoopGemm(KT, TA, M, N, K, 0.75f, A.data(), B.data(), Beta,
+                   Want.data());
+      for (int Threads : {1, 4}) {
+        setGlobalNumThreads(Threads);
+        Tensor Got = C0;
+        gemm(TA, false, M, N, K, 0.75f, A.data(), B.data(), Beta, Got.data());
+        ASSERT_TRUE(sameBits(Want, Got))
+            << simd::isaName(KT.WhichIsa) << " M=" << M << " N=" << N
+            << " K=" << K << " TA=" << TA << " Beta=" << Beta
+            << " threads=" << Threads;
+      }
+      setGlobalNumThreads(0);
+      if (KT.GemmSmallN && Beta == 1.f && N <= 32 && N % 8 == 0) {
+        // The entry itself, over all rows in one call.
+        Tensor Got = C0;
+        KT.GemmSmallN(0, M, N, K, 0.75f, A.data(), TA ? 1 : K, TA ? M : 1,
+                      B.data(), Got.data());
+        ASSERT_TRUE(sameBits(Want, Got))
+            << "direct M=" << M << " N=" << N << " K=" << K << " TA=" << TA;
+      }
+    }
+  }
+}
+
+} // namespace
+
+TEST(GemmSmallNTest, MatchesTheAxpyRowLoopBitForBit) {
+  Rng R(95);
+  for (bool Simd : {false, true})
+    for (int64_t N : {8, 16, 24, 32})
+      for (int64_t K : {1, 3, 32, 48, 96})
+        for (int64_t M : {1, 7, 394})
+          expectGemmMatchesAxpyLoop(Simd, M, N, K, R);
+}
+
+TEST(GemmSmallNTest, OtherShapesKeepTheAxpyRowLoop) {
+  Rng R(96);
+  for (bool Simd : {false, true}) {
+    SimdGuard Table(Simd);
+    const simd::KernelTable &KT = simd::active();
+    for (int64_t N : {8, 16, 24, 32}) {
+      EXPECT_EQ(kernels::usesGemmSmallN(KT, false, N), KT.GemmSmallN != nullptr)
+          << N;
+      EXPECT_FALSE(kernels::usesGemmSmallN(KT, true, N)) << N;
+    }
+    for (int64_t N : {1, 4, 12, 33, 40, 512})
+      EXPECT_FALSE(kernels::usesGemmSmallN(KT, false, N)) << N;
+  }
+  EXPECT_FALSE(simd::scalarTable().GemmSmallN);
+  for (int64_t N : {33, 40, 512})
+    for (bool Simd : {false, true})
+      expectGemmMatchesAxpyLoop(Simd, 7, N, 48, R);
+}

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 using namespace typilus;
 
 namespace {
@@ -31,6 +33,21 @@ TEST_F(TypesysTest, InterningGivesPointerIdentity) {
   EXPECT_EQ(U.parse("int"), U.parse("int"));
   EXPECT_EQ(U.parse("List[int]"), U.parse("List[ int ]"));
   EXPECT_NE(U.parse("List[int]"), U.parse("List[str]"));
+}
+
+TEST_F(TypesysTest, InternCopiesATypeFromAnotherUniverse) {
+  TypeRef Own = U.parse("Dict[str, List[int]]");
+  EXPECT_EQ(U.intern(Own), Own);
+  auto Other = std::make_unique<TypeUniverse>();
+  const char *Repr = "Optional[Tuple[torch.Tensor, Callable[[int], str]]]";
+  TypeRef Foreign = Other->parse(Repr);
+  TypeRef Erased = Other->erase(Foreign);
+  TypeRef Copy = U.intern(Foreign), ErasedCopy = U.intern(Erased);
+  Other.reset(); // the copies must not point into the dead universe
+  EXPECT_EQ(Copy->str(), Repr);
+  EXPECT_EQ(Copy, U.parse(Copy->str()));
+  EXPECT_EQ(ErasedCopy->str(), "Optional");
+  EXPECT_EQ(U.intern(U.parse("Dict[str, List[int]]")), Own);
 }
 
 TEST_F(TypesysTest, ParsesNestedParametricTypes) {
