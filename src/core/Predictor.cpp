@@ -3,6 +3,7 @@
 #include "core/Predictor.h"
 
 #include "corpus/Dataset.h"
+#include "support/Hash.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -19,6 +20,39 @@ static uint64_t microsSince(std::chrono::steady_clock::time_point T0) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - T0)
           .count());
+}
+
+/// Embeds every file of \p Files through the single-file encoder pass, in
+/// inference mode, into \p Embs and \p Targets (index-aligned with
+/// \p Files; files without targets keep an empty tensor). Thread-safe
+/// encoders run data-parallel over the pool, capped at \p MaxWays; the
+/// others (Path) run in file order, because they consume their sampling
+/// RNG sequentially — the order separate single-file calls would use.
+static void embedFiles(TypeModel &Model,
+                       const std::vector<const FileExample *> &Files,
+                       int MaxWays, std::vector<Tensor> &Embs,
+                       std::vector<std::vector<const Target *>> &Targets) {
+  const size_t N = Files.size();
+  Embs.assign(N, Tensor());
+  Targets.assign(N, {});
+  auto EmbedOne = [&](size_t I) {
+    nn::NoGradGuard NoGrad; // thread-local: held on the embedding thread
+    nn::Value Emb = Model.embed({Files[I]}, &Targets[I]);
+    if (Emb.defined())
+      Embs[I] = Emb.val();
+  };
+  if (!Model.supportsParallelEmbed()) {
+    for (size_t I = 0; I != N; ++I)
+      EmbedOne(I);
+    return;
+  }
+  parallelFor(
+      0, static_cast<int64_t>(N), 1,
+      [&](int64_t Lo, int64_t Hi) {
+        for (int64_t I = Lo; I != Hi; ++I)
+          EmbedOne(static_cast<size_t>(I));
+      },
+      MaxWays);
 }
 
 Predictor Predictor::knn(TypeModel &Model, ExampleSource &MapFiles,
@@ -47,29 +81,9 @@ Predictor Predictor::knn(TypeModel &Model, ExampleSource &MapFiles,
     for (size_t I = 0; I != W; ++I)
       Window[I] = &MapFiles.get(Lo + I, Pins[I]);
 
-    std::vector<Tensor> Embs(W);
-    std::vector<std::vector<const Target *>> Targets(W);
-    auto EmbedOne = [&](size_t I) {
-      nn::NoGradGuard NoGrad; // thread-local: held on the embedding thread
-      nn::Value Emb = Model.embed({Window[I]}, &Targets[I]);
-      if (Emb.defined())
-        Embs[I] = Emb.val();
-    };
-    if (Model.supportsParallelEmbed()) {
-      parallelFor(
-          0, static_cast<int64_t>(W), 1,
-          [&](int64_t Lo2, int64_t Hi2) {
-            for (int64_t I = Lo2; I != Hi2; ++I)
-              EmbedOne(static_cast<size_t>(I));
-          },
-          Opts.NumThreads);
-    } else {
-      // Sequential encoders (Path) consume their sampling RNG in file
-      // order — identical to the unwindowed fill.
-      for (size_t I = 0; I != W; ++I)
-        EmbedOne(I);
-    }
-
+    std::vector<Tensor> Embs;
+    std::vector<std::vector<const Target *>> Targets;
+    embedFiles(Model, Window, Opts.NumThreads, Embs, Targets);
     P.EmbedCalls += W;
     for (size_t F = 0; F != W; ++F) {
       const Tensor &E = Embs[F];
@@ -88,8 +102,7 @@ Predictor Predictor::knn(TypeModel &Model, ExampleSource &MapFiles,
   // build the index over whatever representation will actually serve.
   if (Opts.MaxMarkers > 0)
     P.Map->subsampleCoreset(Opts.MaxMarkers);
-  if (Opts.Store != MarkerStore::F32)
-    P.Map->quantize(Opts.Store);
+  P.Map->quantize(Opts.Store);
   P.rebuildIndex();
   return P;
 }
@@ -128,12 +141,7 @@ void Predictor::writeArtifact(ArchiveWriter &W, const TypeUniverse &U) const {
   W.endChunk();
 
   if (IsKnn) {
-    // The chunk tag encodes the marker store, so a reader knows the
-    // payload layout before parsing it: "tmap" is the unchanged f32
-    // stream, "tm16"/"tmq8" the version-2 quantized forms.
-    W.beginChunk(Map->store() == MarkerStore::F32   ? "tmap"
-                 : Map->store() == MarkerStore::F16 ? "tm16"
-                                                    : "tmq8");
+    W.beginChunk(Map->chunkTag());
     Map->save(W, TypeIds);
     W.endChunk();
     // The built index ships with the markers, so serving processes skip
@@ -149,8 +157,7 @@ void Predictor::writeArtifact(ArchiveWriter &W, const TypeUniverse &U) const {
 uint32_t Predictor::artifactVersion() const {
   if (!IsKnn)
     return 1;
-  uint32_t StoreVersion = Map->store() != MarkerStore::F32 ? 2 : 1;
-  return std::max(StoreVersion, Index->formatVersion());
+  return std::max(Map->formatVersion(), Index->formatVersion());
 }
 
 bool Predictor::save(const std::string &Path, const TypeUniverse &U,
@@ -205,20 +212,7 @@ std::unique_ptr<Predictor> Predictor::load(const ArchiveReader &R,
     return P;
 
   P->Map = std::make_unique<TypeMap>(P->Model->config().HiddenDim);
-  // Exactly one τmap chunk is present; its tag names the store. Probing
-  // for the quantized tags first keeps the common f32 miss cheap and
-  // makes the "missing chunk" error name the canonical tag.
-  MarkerStore Store = MarkerStore::F32;
-  const char *Tag = "tmap";
-  if (R.hasChunk("tm16")) {
-    Store = MarkerStore::F16;
-    Tag = "tm16";
-  } else if (R.hasChunk("tmq8")) {
-    Store = MarkerStore::Int8;
-    Tag = "tmq8";
-  }
-  ArchiveCursor TC = R.chunk(Tag, Err);
-  if (!P->Map->load(TC, ById, Err, Store))
+  if (!P->Map->load(R, ById, Err))
     return nullptr;
   P->Knn.Store = P->Map->store();
   if (P->Map->dim() != P->Model->config().HiddenDim) {
@@ -441,29 +435,10 @@ Predictor::predictBatch(const std::vector<const FileExample *> &Files) {
   // matrix blows the cache while the small per-request GEMMs were never
   // parallel to begin with. File granularity scales with cores instead.)
   size_t N = Files.size();
-  std::vector<Tensor> Embs(N);
-  std::vector<std::vector<const Target *>> Targets(N);
-  auto EmbedOne = [&](size_t I) {
-    nn::NoGradGuard NoGrad; // thread-local: held on the embedding thread
-    nn::Value Emb = Model->embed({Files[I]}, &Targets[I]);
-    if (Emb.defined())
-      Embs[I] = Emb.val();
-  };
+  std::vector<Tensor> Embs;
+  std::vector<std::vector<const Target *>> Targets;
   auto EmbedT0 = std::chrono::steady_clock::now();
-  if (Model->supportsParallelEmbed()) {
-    parallelFor(
-        0, static_cast<int64_t>(N), 1,
-        [&](int64_t Lo, int64_t Hi) {
-          for (int64_t I = Lo; I != Hi; ++I)
-            EmbedOne(static_cast<size_t>(I));
-        },
-        Knn.NumThreads);
-  } else {
-    // Path consumes its sampling RNG sequentially — file order here is
-    // the same order separate predictFile calls would consume it in.
-    for (size_t I = 0; I != N; ++I)
-      EmbedOne(I);
-  }
+  embedFiles(*Model, Files, Knn.NumThreads, Embs, Targets);
   EmbedCalls += N;
   EmbedMicros += microsSince(EmbedT0);
 
@@ -556,22 +531,14 @@ Predictor::predictAll(const std::vector<FileExample> &Files) {
 }
 
 uint64_t typilus::predictionDigest(const std::vector<PredictionResult> &Preds) {
-  uint64_t H = 0xCBF29CE484222325ull;
-  auto Mix = [&H](const void *Data, size_t N) {
-    const unsigned char *P = static_cast<const unsigned char *>(Data);
-    for (size_t I = 0; I != N; ++I) {
-      H ^= P[I];
-      H *= 0x100000001B3ull;
-    }
-  };
+  Fnv1a H;
   for (const PredictionResult &P : Preds) {
-    Mix(P.FilePath.data(), P.FilePath.size());
-    Mix(&P.TargetIdx, sizeof(P.TargetIdx));
+    H.bytes(P.FilePath);
+    H.bytes(&P.TargetIdx, sizeof(P.TargetIdx));
     for (const ScoredType &S : P.Candidates) {
-      const std::string &T = S.Type->str();
-      Mix(T.data(), T.size());
-      Mix(&S.Prob, sizeof(S.Prob));
+      H.bytes(S.Type->str());
+      H.bytes(&S.Prob, sizeof(S.Prob));
     }
   }
-  return H;
+  return H.value();
 }

@@ -3,6 +3,7 @@
 #include "corpus/Dedup.h"
 
 #include "pyfront/Lexer.h"
+#include "support/Hash.h"
 
 #include <algorithm>
 #include <set>
@@ -18,10 +19,8 @@ std::vector<uint64_t> shingleSet(const CorpusFile &F) {
   std::vector<uint64_t> Hashes;
   uint64_t H1 = 0, H2 = 0;
   auto HashText = [](const Token &T) {
-    uint64_t H = 1469598103934665603ull;
-    for (char C : T.Text)
-      H = (H ^ static_cast<unsigned char>(C)) * 1099511628211ull;
-    return H ^ (static_cast<uint64_t>(T.Kind) << 56);
+    return fnv1a(T.Text, Fnv1a::TruncatedOffset) ^
+           (static_cast<uint64_t>(T.Kind) << 56);
   };
   size_t Count = 0;
   for (const Token &T : Toks) {

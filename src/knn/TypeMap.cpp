@@ -4,6 +4,7 @@
 
 #include "nn/Simd.h"
 #include "support/Float16.h"
+#include "support/Hash.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -70,86 +71,121 @@ std::vector<ScoredType> typilus::scoreNeighbors(const TypeMap &Map,
 }
 
 //===----------------------------------------------------------------------===//
+// MarkerCodec: the row layouts
+//===----------------------------------------------------------------------===//
+
+MarkerCodec::MarkerCodec(MarkerStore Store, int Dim)
+    : Store(Store), D(Dim),
+      RowBytes(Store == MarkerStore::F32   ? static_cast<size_t>(Dim) * 4
+               : Store == MarkerStore::F16 ? static_cast<size_t>(Dim) * 2
+                                           : sizeof(float) +
+                                                 static_cast<size_t>(Dim)) {}
+
+float MarkerCodec::int8Scale(const unsigned char *Row) {
+  float Scale = 0.f;
+  std::memcpy(&Scale, Row, sizeof(Scale)); // rows of D + 4 bytes: unaligned
+  return Scale;
+}
+
+void MarkerCodec::setInt8Scale(unsigned char *Row, float Scale) {
+  std::memcpy(Row, &Scale, sizeof(Scale));
+}
+
+void MarkerCodec::encode(const float *Src, unsigned char *Row) const {
+  switch (Store) {
+  case MarkerStore::F32:
+    std::memcpy(Row, Src, RowBytes);
+    return;
+  case MarkerStore::F16: {
+    // Software RNE encode always (support/Float16.h), so the artifact
+    // bytes do not depend on the host's F16C availability.
+    uint16_t *Out = reinterpret_cast<uint16_t *>(Row);
+    for (int K = 0; K != D; ++K)
+      Out[K] = f32ToF16Bits(Src[K]);
+    return;
+  }
+  case MarkerStore::Int8: {
+    float MaxAbs = 0.f;
+    for (int K = 0; K != D; ++K)
+      MaxAbs = std::max(MaxAbs, std::fabs(Src[K]));
+    // All-zero rows get scale 0 and all-zero codes; decode reproduces
+    // them exactly.
+    float Scale = MaxAbs == 0.f ? 0.f : MaxAbs / 127.f;
+    setInt8Scale(Row, Scale);
+    int8_t *Codes = int8Codes(Row);
+    for (int K = 0; K != D; ++K) {
+      long Q = Scale == 0.f ? 0 : std::lround(Src[K] / Scale);
+      Codes[K] = static_cast<int8_t>(std::min(127l, std::max(-127l, Q)));
+    }
+    return;
+  }
+  }
+}
+
+float MarkerCodec::coord(const unsigned char *Row, int K) const {
+  switch (Store) {
+  case MarkerStore::F32:
+    return reinterpret_cast<const float *>(Row)[K];
+  case MarkerStore::F16:
+    return f16BitsToF32(reinterpret_cast<const uint16_t *>(Row)[K]);
+  case MarkerStore::Int8:
+    return int8Scale(Row) * static_cast<float>(int8Codes(Row)[K]);
+  }
+  return 0.f;
+}
+
+void MarkerCodec::decode(const unsigned char *Row, float *Out) const {
+  if (Store == MarkerStore::F32) {
+    std::memcpy(Out, Row, RowBytes);
+    return;
+  }
+  for (int K = 0; K != D; ++K)
+    Out[K] = coord(Row, K);
+}
+
+float MarkerCodec::l1(const nn::simd::KernelTable &KT, const float *Q,
+                      const unsigned char *Row) const {
+  switch (Store) {
+  case MarkerStore::F32:
+    return KT.L1(Q, reinterpret_cast<const float *>(Row), D);
+  case MarkerStore::F16:
+    return KT.L1F16(Q, reinterpret_cast<const uint16_t *>(Row), D);
+  case MarkerStore::Int8:
+    return KT.L1I8(Q, int8Codes(Row), int8Scale(Row), D);
+  }
+  return 0.f;
+}
+
+bool MarkerCodec::finite(const unsigned char *Row) const {
+  // A non-finite int8 scale decodes every code, 0 included, to Inf or NaN.
+  for (int K = 0; K != D; ++K)
+    if (!std::isfinite(coord(Row, K)))
+      return false;
+  return true;
+}
+
+//===----------------------------------------------------------------------===//
 // TypeMap: storage, dedup, quantization
 //===----------------------------------------------------------------------===//
 
-float TypeMap::coord(size_t I, int Dim) const {
-  size_t At = I * static_cast<size_t>(D) + static_cast<size_t>(Dim);
-  switch (Store) {
-  case MarkerStore::F32:
-    return Flat[At];
-  case MarkerStore::F16:
-    return f16BitsToF32(FlatF16[At]);
-  case MarkerStore::Int8:
-    return Scales[I] * static_cast<float>(FlatI8[At]);
-  }
-  return 0.f;
-}
-
-void TypeMap::decodeEmbedding(size_t I, float *Out) const {
-  size_t Base = I * static_cast<size_t>(D);
-  switch (Store) {
-  case MarkerStore::F32:
-    std::memcpy(Out, Flat.data() + Base, static_cast<size_t>(D) * 4);
-    return;
-  case MarkerStore::F16:
-    for (int K = 0; K != D; ++K)
-      Out[K] = f16BitsToF32(FlatF16[Base + static_cast<size_t>(K)]);
-    return;
-  case MarkerStore::Int8:
-    for (int K = 0; K != D; ++K)
-      Out[K] =
-          Scales[I] * static_cast<float>(FlatI8[Base + static_cast<size_t>(K)]);
-    return;
-  }
-}
-
 float TypeMap::l1DistanceTo(const float *Q, size_t I) const {
-  const nn::simd::KernelTable &KT = nn::simd::active();
-  size_t Base = I * static_cast<size_t>(D);
-  switch (Store) {
-  case MarkerStore::F32:
-    return KT.L1(Q, Flat.data() + Base, D);
-  case MarkerStore::F16:
-    return KT.L1F16(Q, FlatF16.data() + Base, D);
-  case MarkerStore::Int8:
-    return KT.L1I8(Q, FlatI8.data() + Base, Scales[I], D);
-  }
-  return 0.f;
+  return Codec.l1(nn::simd::active(), Q, row(I));
 }
 
-uint64_t TypeMap::rowHash(const void *Row, size_t NumBytes, float Scale,
-                          TypeRef T) const {
-  uint64_t H = 0xCBF29CE484222325ull;
-  auto Mix = [&H](const void *Data, size_t N) {
-    const unsigned char *P = static_cast<const unsigned char *>(Data);
-    for (size_t I = 0; I != N; ++I) {
-      H ^= P[I];
-      H *= 0x100000001B3ull;
-    }
-  };
-  if (Store == MarkerStore::Int8)
-    Mix(&Scale, sizeof(Scale));
-  Mix(Row, NumBytes);
-  H ^= reinterpret_cast<uintptr_t>(T);
-  H *= 0x100000001B3ull;
-  return H;
+uint64_t TypeMap::rowHash(const unsigned char *Row, TypeRef T) const {
+  return Fnv1a()
+      .bytes(Row, Codec.rowBytes())
+      .word(reinterpret_cast<uintptr_t>(T))
+      .value();
 }
 
-uint64_t TypeMap::storedHash(size_t I) const {
-  size_t Base = I * static_cast<size_t>(D);
-  switch (Store) {
-  case MarkerStore::F32:
-    return rowHash(Flat.data() + Base, static_cast<size_t>(D) * 4, 0.f,
-                   Types[I]);
-  case MarkerStore::F16:
-    return rowHash(FlatF16.data() + Base, static_cast<size_t>(D) * 2, 0.f,
-                   Types[I]);
-  case MarkerStore::Int8:
-    return rowHash(FlatI8.data() + Base, static_cast<size_t>(D), Scales[I],
-                   Types[I]);
-  }
-  return 0;
+int TypeMap::findRow(const std::vector<int> &Bucket, const unsigned char *Row,
+                     TypeRef T) const {
+  for (int J : Bucket)
+    if (Types[static_cast<size_t>(J)] == T &&
+        std::memcmp(row(static_cast<size_t>(J)), Row, Codec.rowBytes()) == 0)
+      return J;
+  return -1;
 }
 
 void TypeMap::rebuildDedupIndex() {
@@ -158,51 +194,11 @@ void TypeMap::rebuildDedupIndex() {
   // adds dedupe against the loaded content without altering it).
   DedupIndex.clear();
   DedupIndexStale = false;
-  size_t RowBytes = static_cast<size_t>(D) *
-                    (Store == MarkerStore::F32   ? 4
-                     : Store == MarkerStore::F16 ? 2
-                                                 : 1);
-  auto RowPtr = [this](size_t I) -> const void * {
-    size_t Base = I * static_cast<size_t>(D);
-    switch (Store) {
-    case MarkerStore::F32:
-      return Flat.data() + Base;
-    case MarkerStore::F16:
-      return FlatF16.data() + Base;
-    case MarkerStore::Int8:
-      return FlatI8.data() + Base;
-    }
-    return nullptr;
-  };
   for (size_t I = 0; I != Types.size(); ++I) {
-    std::vector<int> &Bucket = DedupIndex[storedHash(I)];
-    bool Seen = false;
-    for (int J : Bucket)
-      if (Types[static_cast<size_t>(J)] == Types[I] &&
-          (Store != MarkerStore::Int8 ||
-           Scales[static_cast<size_t>(J)] == Scales[I]) &&
-          std::memcmp(RowPtr(static_cast<size_t>(J)), RowPtr(I), RowBytes) ==
-              0) {
-        Seen = true;
-        break;
-      }
-    if (!Seen)
+    std::vector<int> &Bucket = DedupIndex[rowHash(row(I), Types[I])];
+    if (findRow(Bucket, row(I), Types[I]) < 0)
       Bucket.push_back(static_cast<int>(I));
   }
-}
-
-float TypeMap::encodeI8Row(const float *Src, int8_t *Dst) const {
-  float MaxAbs = 0.f;
-  for (int K = 0; K != D; ++K)
-    MaxAbs = std::max(MaxAbs, std::fabs(Src[K]));
-  // All-zero (or non-finite-free degenerate) rows get scale 0 and all-zero
-  // codes; decode reproduces them exactly.
-  float Scale = MaxAbs == 0.f ? 0.f : MaxAbs / 127.f;
-  for (int K = 0; K != D; ++K) {
-    long Q = Scale == 0.f ? 0 : std::lround(Src[K] / Scale);
-    Dst[K] = static_cast<int8_t>(std::min(127l, std::max(-127l, Q)));
-  }
-  return Scale;
 }
 
 int TypeMap::fileIdFor(std::string_view FileTag) {
@@ -227,6 +223,13 @@ void TypeMap::tagRow(size_t I, int FileId) {
   auto At = std::lower_bound(Rows.begin(), Rows.end(), static_cast<int>(I));
   if (At == Rows.end() || *At != static_cast<int>(I))
     Rows.insert(At, static_cast<int>(I));
+}
+
+void TypeMap::reindexFiles() {
+  RowsOfFile.clear();
+  for (size_t I = 0; I != FileOf.size(); ++I)
+    if (FileOf[I] >= 0)
+      RowsOfFile[FileOf[I]].push_back(static_cast<int>(I));
 }
 
 std::string_view TypeMap::fileTag(size_t I) const {
@@ -269,49 +272,18 @@ bool TypeMap::compact() {
     if (Dead[I])
       continue;
     if (Next != I) {
-      size_t DstBase = Next * static_cast<size_t>(D);
-      size_t SrcBase = I * static_cast<size_t>(D);
-      switch (Store) {
-      case MarkerStore::F32:
-        std::memmove(Flat.data() + DstBase, Flat.data() + SrcBase,
-                     static_cast<size_t>(D) * 4);
-        break;
-      case MarkerStore::F16:
-        std::memmove(FlatF16.data() + DstBase, FlatF16.data() + SrcBase,
-                     static_cast<size_t>(D) * 2);
-        break;
-      case MarkerStore::Int8:
-        std::memmove(FlatI8.data() + DstBase, FlatI8.data() + SrcBase,
-                     static_cast<size_t>(D));
-        Scales[Next] = Scales[I];
-        break;
-      }
+      std::memcpy(row(Next), row(I), Codec.rowBytes());
       Types[Next] = Types[I];
       FileOf[Next] = FileOf[I];
     }
     ++Next;
   }
-  size_t Coords = Next * static_cast<size_t>(D);
-  switch (Store) {
-  case MarkerStore::F32:
-    Flat.resize(Coords);
-    break;
-  case MarkerStore::F16:
-    FlatF16.resize(Coords);
-    break;
-  case MarkerStore::Int8:
-    FlatI8.resize(Coords);
-    Scales.resize(Next);
-    break;
-  }
+  Coords.resize(Next * Codec.rowBytes());
   Types.resize(Next);
   FileOf.resize(Next);
   Dead.assign(Next, 0);
   NumDead = 0;
-  RowsOfFile.clear();
-  for (size_t I = 0; I != FileOf.size(); ++I)
-    if (FileOf[I] >= 0)
-      RowsOfFile[FileOf[I]].push_back(static_cast<int>(I));
+  reindexFiles();
   DedupIndex.clear();
   DedupIndexStale = true;
   return true;
@@ -325,101 +297,50 @@ bool TypeMap::add(const float *Embedding, TypeRef T,
                   std::string_view FileTag) {
   if (DedupIndexStale)
     rebuildDedupIndex();
-  // Encode the candidate into the store's representation first; dedup
-  // compares encoded rows, so post-rounding collisions also collapse.
-  std::vector<uint16_t> EncF16;
-  std::vector<int8_t> EncI8;
-  float Scale = 0.f;
-  const void *Row = Embedding;
-  size_t RowBytes = static_cast<size_t>(D) * 4;
-  if (Store == MarkerStore::F16) {
-    EncF16.resize(static_cast<size_t>(D));
-    for (int K = 0; K != D; ++K)
-      EncF16[static_cast<size_t>(K)] = f32ToF16Bits(Embedding[K]);
-    Row = EncF16.data();
-    RowBytes = static_cast<size_t>(D) * 2;
-  } else if (Store == MarkerStore::Int8) {
-    EncI8.resize(static_cast<size_t>(D));
-    Scale = encodeI8Row(Embedding, EncI8.data());
-    Row = EncI8.data();
-    RowBytes = static_cast<size_t>(D);
-  }
-  auto StoredRow = [this](size_t I) -> const void * {
-    size_t Base = I * static_cast<size_t>(D);
-    switch (Store) {
-    case MarkerStore::F32:
-      return Flat.data() + Base;
-    case MarkerStore::F16:
-      return FlatF16.data() + Base;
-    case MarkerStore::Int8:
-      return FlatI8.data() + Base;
+  // Encode the candidate in place as the next row; dedup compares encoded
+  // rows, so post-rounding collisions also collapse. A duplicate hands the
+  // row back.
+  const size_t N = Types.size();
+  Coords.resize((N + 1) * Codec.rowBytes());
+  unsigned char *Row = row(N);
+  Codec.encode(Embedding, Row);
+  std::vector<int> &Bucket = DedupIndex[rowHash(Row, T)];
+  if (int I = findRow(Bucket, Row, T); I >= 0) {
+    Coords.resize(N * Codec.rowBytes());
+    if (Dead[static_cast<size_t>(I)]) {
+      // Resurrect the tombstoned row in place: the marker layout (row
+      // index, bytes, order) is exactly what it was before the removal,
+      // so every index over the map — and every prediction — is
+      // bit-identical to the pre-removal state.
+      Dead[static_cast<size_t>(I)] = 0;
+      --NumDead;
+      tagRow(static_cast<size_t>(I), fileIdFor(FileTag));
+      return true;
     }
-    return nullptr;
-  };
-  std::vector<int> &Bucket = DedupIndex[rowHash(Row, RowBytes, Scale, T)];
-  for (int I : Bucket)
-    if (Types[static_cast<size_t>(I)] == T &&
-        (Store != MarkerStore::Int8 ||
-         Scales[static_cast<size_t>(I)] == Scale) &&
-        std::memcmp(StoredRow(static_cast<size_t>(I)), Row, RowBytes) == 0) {
-      if (Dead[static_cast<size_t>(I)]) {
-        // Resurrect the tombstoned row in place: the marker layout (row
-        // index, bytes, order) is exactly what it was before the removal,
-        // so every index over the map — and every prediction — is
-        // bit-identical to the pre-removal state.
-        Dead[static_cast<size_t>(I)] = 0;
-        --NumDead;
-        tagRow(static_cast<size_t>(I), fileIdFor(FileTag));
-        return true;
-      }
-      ++Dropped;
-      return false;
-    }
-  Bucket.push_back(static_cast<int>(Types.size()));
-  switch (Store) {
-  case MarkerStore::F32:
-    Flat.insert(Flat.end(), Embedding, Embedding + D);
-    break;
-  case MarkerStore::F16:
-    FlatF16.insert(FlatF16.end(), EncF16.begin(), EncF16.end());
-    break;
-  case MarkerStore::Int8:
-    FlatI8.insert(FlatI8.end(), EncI8.begin(), EncI8.end());
-    Scales.push_back(Scale);
-    break;
+    ++Dropped;
+    return false;
   }
+  Bucket.push_back(static_cast<int>(N));
   Types.push_back(T);
   FileOf.push_back(-1);
   Dead.push_back(0);
-  tagRow(Types.size() - 1, fileIdFor(FileTag));
+  tagRow(N, fileIdFor(FileTag));
   return true;
 }
 
 void TypeMap::quantize(MarkerStore NewStore) {
-  if (NewStore == Store)
+  if (NewStore == store())
     return;
-  assert(Store == MarkerStore::F32 &&
+  assert(store() == MarkerStore::F32 &&
          "quantize converts a freshly built f32 map; re-quantization of an "
          "already-quantized store is lossy-on-lossy and unsupported");
   assert(NumDead == 0 && "compact() before quantize()");
-  size_t N = Types.size();
-  if (NewStore == MarkerStore::F16) {
-    // Software RNE encode always (support/Float16.h), so the artifact
-    // bytes do not depend on the host's F16C availability.
-    FlatF16.resize(Flat.size());
-    for (size_t I = 0; I != Flat.size(); ++I)
-      FlatF16[I] = f32ToF16Bits(Flat[I]);
-  } else {
-    FlatI8.resize(Flat.size());
-    Scales.resize(N);
-    for (size_t I = 0; I != N; ++I)
-      Scales[I] =
-          encodeI8Row(Flat.data() + I * static_cast<size_t>(D),
-                      FlatI8.data() + I * static_cast<size_t>(D));
-  }
-  Flat.clear();
-  Flat.shrink_to_fit();
-  Store = NewStore;
+  MarkerCodec To(NewStore, dim());
+  std::vector<unsigned char> Encoded(Types.size() * To.rowBytes());
+  for (size_t I = 0; I != Types.size(); ++I)
+    To.encode(embedding(I), Encoded.data() + I * To.rowBytes());
+  Coords = std::move(Encoded);
+  Codec = To;
   // Rounding can merge rows that were distinct in f32; the index keys are
   // stale either way.
   DedupIndex.clear();
@@ -427,7 +348,7 @@ void TypeMap::quantize(MarkerStore NewStore) {
 }
 
 size_t TypeMap::subsampleCoreset(size_t MaxMarkers) {
-  assert(Store == MarkerStore::F32 &&
+  assert(store() == MarkerStore::F32 &&
          "subsample before quantize: k-center needs the exact coordinates");
   assert(NumDead == 0 && "compact() before subsampling");
   if (MaxMarkers == 0 || Types.size() <= MaxMarkers)
@@ -500,8 +421,7 @@ size_t TypeMap::subsampleCoreset(size_t MaxMarkers) {
     Chosen[0] = 1;
     Kept.push_back(Items[0]);
     for (size_t Picked = 1; Picked != Want; ++Picked) {
-      const float *C =
-          embedding(static_cast<size_t>(Items[Last]));
+      const float *C = embedding(static_cast<size_t>(Items[Last]));
       size_t Best = SIZE_MAX;
       float BestDist = -1.f;
       for (size_t I = 0; I != Items.size(); ++I) {
@@ -527,102 +447,120 @@ size_t TypeMap::subsampleCoreset(size_t MaxMarkers) {
   // Rebuild in original marker order so survivors keep their relative
   // layout (and the result is independent of the per-type pick order).
   std::sort(Kept.begin(), Kept.end());
-  std::vector<float> NewFlat;
-  NewFlat.reserve(Kept.size() * static_cast<size_t>(D));
+  std::vector<unsigned char> NewCoords;
+  NewCoords.reserve(Kept.size() * Codec.rowBytes());
   std::vector<TypeRef> NewTypes;
   NewTypes.reserve(Kept.size());
   std::vector<int32_t> NewFileOf;
   NewFileOf.reserve(Kept.size());
   for (int I : Kept) {
-    const float *Row = embedding(static_cast<size_t>(I));
-    NewFlat.insert(NewFlat.end(), Row, Row + D);
+    const unsigned char *Row = row(static_cast<size_t>(I));
+    NewCoords.insert(NewCoords.end(), Row, Row + Codec.rowBytes());
     NewTypes.push_back(Types[static_cast<size_t>(I)]);
     NewFileOf.push_back(FileOf[static_cast<size_t>(I)]);
   }
-  Flat = std::move(NewFlat);
+  Coords = std::move(NewCoords);
   Types = std::move(NewTypes);
   FileOf = std::move(NewFileOf);
   Dead.assign(Types.size(), 0);
-  RowsOfFile.clear();
-  for (size_t I = 0; I != FileOf.size(); ++I)
-    if (FileOf[I] >= 0)
-      RowsOfFile[FileOf[I]].push_back(static_cast<int>(I));
+  reindexFiles();
   DedupIndex.clear();
   DedupIndexStale = true;
   return Types.size();
+}
+
+/// The τmap chunk tag of each store; the store is the index.
+static constexpr const char *kChunkTags[] = {"tmap", "tm16", "tmq8"};
+
+const char *TypeMap::chunkTag() const {
+  return kChunkTags[static_cast<size_t>(store())];
+}
+
+uint32_t TypeMap::formatVersion() const {
+  return store() == MarkerStore::F32 ? 1 : 2;
 }
 
 void TypeMap::save(ArchiveWriter &W,
                    const std::map<TypeRef, int> &TypeIds) const {
   assert(NumDead == 0 &&
          "tombstones are in-memory session state: compact() before save()");
-  W.writeI32(D);
-  W.writeU64(Types.size());
-  switch (Store) {
+  const size_t N = Types.size(), Cells = N * static_cast<size_t>(dim());
+  W.writeI32(dim());
+  W.writeU64(N);
+  switch (store()) {
   case MarkerStore::F32:
-    // Exactly the historical byte stream — f32 artifacts stay
-    // bit-identical across this change.
-    W.writeF32Array(Flat.data(), Flat.size());
+    W.writeF32Array(reinterpret_cast<const float *>(Coords.data()), Cells);
     break;
   case MarkerStore::F16:
-    W.writeU16Array(FlatF16.data(), FlatF16.size());
+    W.writeU16Array(reinterpret_cast<const uint16_t *>(Coords.data()), Cells);
     break;
   case MarkerStore::Int8:
-    W.writeF32Array(Scales.data(), Scales.size());
-    W.writeBytes(FlatI8.data(), FlatI8.size());
+    for (size_t I = 0; I != N; ++I)
+      W.writeF32(MarkerCodec::int8Scale(row(I)));
+    for (size_t I = 0; I != N; ++I)
+      W.writeBytes(MarkerCodec::int8Codes(row(I)), static_cast<size_t>(dim()));
     break;
   }
   for (TypeRef T : Types)
     W.writeI32(TypeIds.at(T));
 }
 
-bool TypeMap::load(ArchiveCursor &C, const std::vector<TypeRef> &ById,
-                   std::string *Err, MarkerStore S) {
+bool TypeMap::load(const ArchiveReader &R, const std::vector<TypeRef> &ById,
+                   std::string *Err) {
+  // Exactly one τmap chunk is present and its tag names the store.
+  // Probing the quantized tags first makes the "missing chunk" error name
+  // the canonical f32 tag.
+  MarkerStore S = MarkerStore::F32;
+  for (MarkerStore Q : {MarkerStore::F16, MarkerStore::Int8})
+    if (R.hasChunk(kChunkTags[static_cast<size_t>(Q)])) {
+      S = Q;
+      break;
+    }
+  ArchiveCursor C = R.chunk(kChunkTags[static_cast<size_t>(S)], Err);
+  auto Malformed = [Err] {
+    if (Err && Err->empty())
+      *Err = "malformed type-map snapshot";
+    return false;
+  };
   int32_t Dim = C.readI32();
   uint64_t Count = C.readU64();
+  if (!C.ok() || Dim <= 0)
+    return Malformed();
   // Bound the marker count against the payload before any allocation, so
   // no adversarial count/dim pair can overflow the byte-size comparison
-  // (same policy as nn::readTensor). Every marker costs its coordinate
-  // bytes plus a 4-byte type id (plus the int8 scale).
-  uint64_t CoordBytes = S == MarkerStore::F32   ? 4
-                        : S == MarkerStore::F16 ? 2
-                                                : 1;
-  if (!C.ok() || Dim <= 0) {
-    if (Err && Err->empty())
-      *Err = "malformed type-map snapshot";
-    return false;
-  }
-  uint64_t PerMarker = static_cast<uint64_t>(Dim) * CoordBytes + 4 +
-                       (S == MarkerStore::Int8 ? 4 : 0);
-  if (Count > C.remaining() / PerMarker) {
-    if (Err && Err->empty())
-      *Err = "malformed type-map snapshot";
-    return false;
-  }
-  size_t Coords = static_cast<size_t>(Count) * static_cast<size_t>(Dim);
-  std::vector<float> NewFlat;
-  std::vector<uint16_t> NewF16;
-  std::vector<int8_t> NewI8;
-  std::vector<float> NewScales;
+  // (same policy as nn::readTensor). Every marker costs its row bytes plus
+  // a 4-byte type id.
+  MarkerCodec NewCodec(S, Dim);
+  if (Count > C.remaining() / (NewCodec.rowBytes() + 4))
+    return Malformed();
+  const size_t N = static_cast<size_t>(Count);
+  const size_t Cells = N * static_cast<size_t>(Dim);
+  std::vector<unsigned char> NewCoords(N * NewCodec.rowBytes());
+  auto Row = [&](size_t I) {
+    return NewCoords.data() + I * NewCodec.rowBytes();
+  };
   switch (S) {
   case MarkerStore::F32:
-    NewFlat.resize(Coords);
-    C.readF32Array(NewFlat.data(), NewFlat.size());
+    C.readF32Array(reinterpret_cast<float *>(NewCoords.data()), Cells);
     break;
   case MarkerStore::F16:
-    NewF16.resize(Coords);
-    C.readU16Array(NewF16.data(), NewF16.size());
+    C.readU16Array(reinterpret_cast<uint16_t *>(NewCoords.data()), Cells);
     break;
   case MarkerStore::Int8:
-    NewScales.resize(static_cast<size_t>(Count));
-    C.readF32Array(NewScales.data(), NewScales.size());
-    NewI8.resize(Coords);
-    C.readBytes(NewI8.data(), NewI8.size());
+    for (size_t I = 0; I != N; ++I)
+      MarkerCodec::setInt8Scale(Row(I), C.readF32());
+    for (size_t I = 0; I != N; ++I)
+      C.readBytes(MarkerCodec::int8Codes(Row(I)), static_cast<size_t>(Dim));
     break;
   }
+  // A NaN distance would break neighborLess's strict weak order, which
+  // the index sorts and merges rely on.
+  for (size_t I = 0; I != N; ++I)
+    if (!NewCodec.finite(Row(I)))
+      return Malformed();
   std::vector<TypeRef> NewTypes;
-  NewTypes.reserve(static_cast<size_t>(Count));
-  for (uint64_t I = 0; I != Count; ++I) {
+  NewTypes.reserve(N);
+  for (size_t I = 0; I != N; ++I) {
     int Idx = C.readI32();
     if (!C.ok() || Idx < 0 || static_cast<size_t>(Idx) >= ById.size()) {
       if (Err && Err->empty())
@@ -631,12 +569,8 @@ bool TypeMap::load(ArchiveCursor &C, const std::vector<TypeRef> &ById,
     }
     NewTypes.push_back(ById[static_cast<size_t>(Idx)]);
   }
-  D = Dim;
-  Store = S;
-  Flat = std::move(NewFlat);
-  FlatF16 = std::move(NewF16);
-  FlatI8 = std::move(NewI8);
-  Scales = std::move(NewScales);
+  Codec = NewCodec;
+  Coords = std::move(NewCoords);
   Types = std::move(NewTypes);
   // Tags and tombstones are never serialized: a loaded snapshot starts
   // with every marker live and untagged.
@@ -646,7 +580,7 @@ bool TypeMap::load(ArchiveCursor &C, const std::vector<TypeRef> &ById,
   FileTags.clear();
   FileIdOf.clear();
   RowsOfFile.clear();
-  // Loading stays a pure byte copy: the dedup index is marked stale and
+  // Loading stays a byte copy: the dedup index is marked stale and
   // rebuilt by the first add() — serving processes, which never insert,
   // never pay the O(N·D) re-keying or hold the index at all.
   DedupIndex.clear();
@@ -803,43 +737,16 @@ void ExactIndex::queryBlock(const float *Qs, int64_t QBegin, int64_t QEnd,
     Heaps[Q].clear();
     Heaps[Q].reserve(static_cast<size_t>(K));
   }
-  // Hoist the store dispatch out of the tile bodies: raw arrays + the
-  // active kernel table, fetched once per block.
-  const MarkerStore Store = Map.store();
-  const float *F32 = Map.rawF32();
-  const uint16_t *F16 = Map.rawF16();
-  const int8_t *I8 = Map.rawI8();
-  const float *Scales = Map.rawI8Scales();
+  const MarkerCodec &Codec = Map.codec();
   for (size_t MB = 0; MB < N; MB += kMarkerTile) {
     const size_t ME = std::min(N, MB + kMarkerTile);
     for (size_t Q = 0; Q != NumQ; ++Q) {
       const float *Query = Qs + (QBegin + static_cast<int64_t>(Q)) * D;
       NeighborList &H = Heaps[Q];
-      switch (Store) {
-      case MarkerStore::F32:
-        for (size_t I = MB; I != ME; ++I)
-          if (Map.isLive(I))
-            pushBounded(H, K,
-                        {static_cast<int>(I),
-                         KT.L1(Query, F32 + I * static_cast<size_t>(D), D)});
-        break;
-      case MarkerStore::F16:
-        for (size_t I = MB; I != ME; ++I)
-          if (Map.isLive(I))
-            pushBounded(
-                H, K,
-                {static_cast<int>(I),
-                 KT.L1F16(Query, F16 + I * static_cast<size_t>(D), D)});
-        break;
-      case MarkerStore::Int8:
-        for (size_t I = MB; I != ME; ++I)
-          if (Map.isLive(I))
-            pushBounded(H, K,
-                        {static_cast<int>(I),
-                         KT.L1I8(Query, I8 + I * static_cast<size_t>(D),
-                                 Scales[I], D)});
-        break;
-      }
+      for (size_t I = MB; I != ME; ++I)
+        if (Map.isLive(I))
+          pushBounded(H, K,
+                      {static_cast<int>(I), Codec.l1(KT, Query, Map.row(I))});
     }
   }
   for (size_t Q = 0; Q != NumQ; ++Q) {

@@ -10,13 +10,18 @@
 /// data, not model weights, previously unseen types can be added without
 /// retraining — the key open-vocabulary property of Typilus.
 ///
-/// Markers live in one of three storage formats (τmap compaction): exact
-/// f32, IEEE binary16 (half the bytes, ~1e-3 relative rounding), or int8
-/// with one f32 scale per marker (quarter the bytes). Distances dispatch
-/// through the runtime SIMD kernel table (nn/Simd.h), which scans f16 and
-/// int8 rows without materialising a decoded copy. `quantize` converts a
-/// freshly built f32 map; `subsampleCoreset` bounds the marker count first
-/// while keeping every type represented.
+/// Every marker is one fixed-size encoded row of a single coordinate
+/// buffer. The store picks the row encoding: exact f32, IEEE binary16
+/// (half the bytes, ~1e-3 relative rounding) or int8 codes behind one f32
+/// scale per marker (about a quarter of the bytes). MarkerCodec is the
+/// only code that knows those layouts: it encodes f32 rows, decodes a row
+/// or one coordinate, and computes L1 distances through the runtime SIMD
+/// kernel table (nn/Simd.h) without materialising a decoded copy. The rest
+/// of the map hashes, compares and moves rows as plain bytes. Only the
+/// snapshot (save/load) looks at the store again, because each store keeps
+/// its historical byte stream and its own artifact chunk tag.
+/// `quantize` converts a freshly built f32 map; `subsampleCoreset` bounds
+/// the marker count first while keeping every type represented.
 ///
 /// Queries go through one interface, KnnIndex, with three engines behind
 /// it: the blocked exact scan, an Annoy-style kd-forest (the paper's
@@ -46,6 +51,7 @@
 #include "support/Rng.h"
 #include "typesys/Type.h"
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -56,6 +62,10 @@
 #include <vector>
 
 namespace typilus {
+
+namespace nn::simd {
+struct KernelTable;
+} // namespace nn::simd
 
 /// How marker embeddings are stored. F32 is the exact representation the
 /// trainer produces; F16 and Int8 (one f32 scale per marker) trade
@@ -68,28 +78,59 @@ const char *markerStoreName(MarkerStore S);
 /// Parses markerStoreName()'s strings; \returns false on anything else.
 bool parseMarkerStore(std::string_view Name, MarkerStore *Out);
 
+/// The row layout of one store at dimension D:
+///   f32  — D floats;
+///   f16  — D binary16 bit patterns (software round-to-nearest-even
+///          encode, so the bytes do not depend on the host);
+///   int8 — one f32 scale, then D codes; coordinate k is scale · code k.
+class MarkerCodec {
+public:
+  MarkerCodec(MarkerStore Store, int Dim);
+
+  MarkerStore store() const { return Store; }
+  int dim() const { return D; }
+  size_t rowBytes() const { return RowBytes; }
+
+  /// Encodes the f32 embedding \p Src (length dim()) into \p Row.
+  void encode(const float *Src, unsigned char *Row) const;
+  /// Decodes \p Row into \p Out (length dim()).
+  void decode(const unsigned char *Row, float *Out) const;
+  /// Coordinate \p K of \p Row, decoded.
+  float coord(const unsigned char *Row, int K) const;
+  /// L1 distance from the f32 query \p Q to \p Row, through \p KT's entry
+  /// for the store.
+  float l1(const nn::simd::KernelTable &KT, const float *Q,
+           const unsigned char *Row) const;
+  /// False when \p Row decodes to a NaN or an infinite coordinate.
+  bool finite(const unsigned char *Row) const;
+
+  /// An int8 row's scale and codes: the two runs an int8 snapshot stores
+  /// apart.
+  static float int8Scale(const unsigned char *Row);
+  static void setInt8Scale(unsigned char *Row, float Scale);
+  static int8_t *int8Codes(unsigned char *Row) {
+    return reinterpret_cast<int8_t *>(Row + sizeof(float));
+  }
+  static const int8_t *int8Codes(const unsigned char *Row) {
+    return reinterpret_cast<const int8_t *>(Row + sizeof(float));
+  }
+
+private:
+  MarkerStore Store;
+  int D;
+  size_t RowBytes;
+};
+
 /// A store of D-dimensional type markers.
 class TypeMap {
 public:
-  explicit TypeMap(int Dim) : D(Dim) {}
+  explicit TypeMap(int Dim) : Codec(MarkerStore::F32, Dim) {}
 
   /// Pre-allocates room for \p TotalMarkers markers *in total* (bulk
   /// fills). Total, not incremental: calling it twice with the same bound
   /// is idempotent instead of doubling the reservation.
   void reserve(size_t TotalMarkers) {
-    size_t Coords = TotalMarkers * static_cast<size_t>(D);
-    switch (Store) {
-    case MarkerStore::F32:
-      Flat.reserve(Coords);
-      break;
-    case MarkerStore::F16:
-      FlatF16.reserve(Coords);
-      break;
-    case MarkerStore::Int8:
-      FlatI8.reserve(Coords);
-      Scales.reserve(TotalMarkers);
-      break;
-    }
+    Coords.reserve(TotalMarkers * Codec.rowBytes());
     Types.reserve(TotalMarkers);
     FileOf.reserve(TotalMarkers);
     Dead.reserve(TotalMarkers);
@@ -154,31 +195,29 @@ public:
   bool compact();
 
   size_t size() const { return Types.size(); }
-  int dim() const { return D; }
-  MarkerStore store() const { return Store; }
-  /// Bytes held by the marker coordinate arrays (artifact sizing).
-  size_t storageBytes() const {
-    return Flat.size() * 4 + FlatF16.size() * 2 + FlatI8.size() +
-           Scales.size() * 4;
-  }
+  int dim() const { return Codec.dim(); }
+  MarkerStore store() const { return Codec.store(); }
+  /// The row layout of store() (index inner loops scan rows through it).
+  const MarkerCodec &codec() const { return Codec; }
+  /// Bytes held by the marker coordinate buffer (artifact sizing).
+  size_t storageBytes() const { return Coords.size(); }
 
+  /// Encoded row \p I: codec().rowBytes() bytes.
+  const unsigned char *row(size_t I) const {
+    return Coords.data() + I * Codec.rowBytes();
+  }
   /// Direct row access — F32 store only (the trainer-side fast path).
   const float *embedding(size_t I) const {
-    return Flat.data() + I * static_cast<size_t>(D);
+    assert(store() == MarkerStore::F32 && "embedding() reads f32 rows");
+    return reinterpret_cast<const float *>(row(I));
   }
-  /// Raw store arrays for index inner loops: the blocked scan hoists the
-  /// per-row store dispatch out of its tile bodies and feeds these
-  /// directly to the SIMD kernel table. Only the array matching store()
-  /// is populated; the others are empty.
-  const float *rawF32() const { return Flat.data(); }
-  const uint16_t *rawF16() const { return FlatF16.data(); }
-  const int8_t *rawI8() const { return FlatI8.data(); }
-  const float *rawI8Scales() const { return Scales.data(); }
   /// Coordinate \p Dim of marker \p I, decoded from whatever store holds
   /// it (index construction probes single coordinates).
-  float coord(size_t I, int Dim) const;
+  float coord(size_t I, int Dim) const { return Codec.coord(row(I), Dim); }
   /// Decodes marker \p I into \p Out (length D).
-  void decodeEmbedding(size_t I, float *Out) const;
+  void decodeEmbedding(size_t I, float *Out) const {
+    Codec.decode(row(I), Out);
+  }
   /// L1 distance from f32 query \p Q to marker \p I, computed over the
   /// stored representation by the active SIMD kernel table — quantized
   /// rows are never materialised as f32.
@@ -203,48 +242,57 @@ public:
   /// their relative order. \returns the new size.
   size_t subsampleCoreset(size_t MaxMarkers);
 
+  /// Tag of the artifact chunk holding the snapshot. It names the store,
+  /// so a reader knows the payload layout before parsing it: "tmap" (f32,
+  /// the original stream), "tm16" (f16) or "tmq8" (int8).
+  const char *chunkTag() const;
+  /// The artifact format version that introduced chunkTag()'s chunk: 1
+  /// for f32, 2 for the quantized stores.
+  uint32_t formatVersion() const;
   /// Appends dim + every marker (stored-format coordinates, dense
-  /// type-table index) to the open chunk. The payload layout follows
-  /// store(): f32 maps write exactly the historical byte stream. File
-  /// tags and tombstones are session state and are never written —
-  /// compact() first; saving a map with tombstones is a programming error.
+  /// type-table index) to the open chunk, in store()'s historical layout:
+  /// f32 and f16 write their rows as one array, int8 writes every scale
+  /// and then every row's codes. File tags and tombstones are session
+  /// state and are never written — compact() first; saving a map with
+  /// tombstones is a programming error.
   void save(ArchiveWriter &W, const std::map<TypeRef, int> &TypeIds) const;
-  /// Replaces *this with a snapshot written by save(); \p ById is the
-  /// loaded type table and \p S the store the snapshot was written with
-  /// (the caller knows it from the chunk tag).
-  bool load(ArchiveCursor &C, const std::vector<TypeRef> &ById,
-            std::string *Err, MarkerStore S = MarkerStore::F32);
+  /// Replaces *this with the snapshot in \p R's τmap chunk, whichever
+  /// store's tag it carries; \p ById is the loaded type table. A snapshot
+  /// with a NaN or infinite coordinate is rejected.
+  bool load(const ArchiveReader &R, const std::vector<TypeRef> &ById,
+            std::string *Err);
 
 private:
-  /// Marker indices by stored-row-bytes+type hash; collisions resolved by
-  /// full comparison in add(). Built lazily: a loaded snapshot leaves it
+  /// Marker indices by row-bytes+type hash; collisions resolved by full
+  /// comparison (findRow). Built lazily: a loaded snapshot leaves it
   /// stale (serving processes never insert, so they never pay for it)
   /// and the first add() after load re-keys it over the loaded markers.
   std::unordered_map<uint64_t, std::vector<int>> DedupIndex;
   bool DedupIndexStale = false;
 
-  /// FNV-1a over a stored row's bytes (plus the int8 scale) mixed with
-  /// the interned type pointer (stable within a process, which is all
-  /// the index needs).
-  uint64_t rowHash(const void *Row, size_t NumBytes, float Scale,
-                   TypeRef T) const;
-  uint64_t storedHash(size_t I) const;
+  unsigned char *row(size_t I) { return Coords.data() + I * Codec.rowBytes(); }
+  /// FNV-1a over an encoded row's bytes mixed with the interned type
+  /// pointer (stable within a process, which is all the index needs).
+  uint64_t rowHash(const unsigned char *Row, TypeRef T) const;
+  /// The first marker of \p Bucket whose type is \p T and whose row bytes
+  /// equal \p Row; -1 when there is none.
+  int findRow(const std::vector<int> &Bucket, const unsigned char *Row,
+              TypeRef T) const;
   void rebuildDedupIndex();
-
-  /// Encodes one f32 row for the Int8 store; \returns the row's scale.
-  float encodeI8Row(const float *Src, int8_t *Dst) const;
 
   /// Interns \p FileTag into FileTags/FileIdOf; -1 for an empty tag.
   int fileIdFor(std::string_view FileTag);
   /// Registers live row \p I under file id \p FileId (sorted insert).
   void tagRow(size_t I, int FileId);
+  /// Rebuilds RowsOfFile from FileOf after rows moved.
+  void reindexFiles();
 
-  int D;
-  MarkerStore Store = MarkerStore::F32;
-  std::vector<float> Flat;        ///< F32 store: D coords per marker.
-  std::vector<uint16_t> FlatF16;  ///< F16 store: binary16 bit patterns.
-  std::vector<int8_t> FlatI8;     ///< Int8 store: D codes per marker.
-  std::vector<float> Scales;      ///< Int8 store: one scale per marker.
+  MarkerCodec Codec;
+  /// size() rows of Codec.rowBytes() bytes. The allocation is aligned for
+  /// any scalar and f32/f16 rows are whole multiples of their cell, so a
+  /// row is read through its store's cell type; everything else touches
+  /// rows only as bytes (memcpy/memcmp), and int8 scales are memcpy'd.
+  std::vector<unsigned char> Coords;
   std::vector<TypeRef> Types;
   std::vector<int32_t> FileOf;    ///< Owning file id per marker; -1 none.
   std::vector<char> Dead;         ///< 1 = tombstoned (queries skip it).
@@ -364,8 +412,8 @@ std::unique_ptr<KnnIndex> loadIndex(KnnIndexKind Kind, const ArchiveReader &R,
 /// query×marker tiled scan: each marker tile is streamed once through
 /// every query of a query block, each query keeps a fixed-size bounded
 /// max-heap of the best k seen so far (no O(N) allocation per query),
-/// and the tile bodies dispatch through the active SIMD kernel table
-/// with the store switch hoisted out of the inner loops. Batches are
+/// and the tile bodies measure each encoded row through the map's codec
+/// and the active SIMD kernel table, fetched once per block. Batches are
 /// partitioned in tile-sized grains with per-chunk reusable scratch.
 class ExactIndex : public KnnIndex {
 public:

@@ -2,6 +2,7 @@
 
 #include "serve/Server.h"
 
+#include "support/Hash.h"
 #include "support/Socket.h"
 
 #include <algorithm>
@@ -18,11 +19,7 @@ using namespace typilus;
 using namespace typilus::serve;
 
 uint64_t serve::sourceDigest(std::string_view Source) {
-  // FNV-1a, the same construction predictionDigest and corpus/Dedup use.
-  uint64_t H = 1469598103934665603ull;
-  for (char C : Source)
-    H = (H ^ static_cast<unsigned char>(C)) * 1099511628211ull;
-  return H;
+  return fnv1a(Source, Fnv1a::TruncatedOffset);
 }
 
 Server::Server(Predictor &P, TypeUniverse &U, ServerOptions O)

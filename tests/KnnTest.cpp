@@ -3,6 +3,7 @@
 #include "KnnReference.h"
 #include "knn/TypeMap.h"
 #include "support/Float16.h"
+#include "support/Hash.h"
 #include "support/Str.h"
 #include "support/Rng.h"
 #include "typesys/Type.h"
@@ -11,6 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
@@ -293,15 +296,14 @@ TEST(TypeMapTest, DedupSurvivesSnapshotRoundTrip) {
   std::map<TypeRef, int> TypeIds{{U.parse("int"), 0}};
   std::vector<TypeRef> ById{U.parse("int")};
   ArchiveWriter W(1);
-  W.beginChunk("tmap");
+  W.beginChunk(Map.chunkTag());
   Map.save(W, TypeIds);
   W.endChunk();
   ArchiveReader R;
   std::string Err;
   ASSERT_TRUE(R.openBytes(W.bytes(), &Err)) << Err;
-  ArchiveCursor C = R.chunk("tmap", &Err);
   TypeMap Loaded(2);
-  ASSERT_TRUE(Loaded.load(C, ById, &Err)) << Err;
+  ASSERT_TRUE(Loaded.load(R, ById, &Err)) << Err;
   ASSERT_EQ(Loaded.size(), 1u);
   // The loaded map dedupes against its snapshotted markers.
   EXPECT_FALSE(Loaded.add(A, U.parse("int")));
@@ -424,17 +426,18 @@ TEST(QuantizedMapTest, SnapshotRoundTripIsExact) {
     }
 
     ArchiveWriter W(2);
-    W.beginChunk("tmap");
+    W.beginChunk(Q.chunkTag());
     Q.save(W, TypeIds);
     W.endChunk();
     ArchiveReader R;
     std::string Err;
     ASSERT_TRUE(R.openBytes(W.bytes(), &Err)) << Err;
-    ArchiveCursor C = R.chunk("tmap", &Err);
+    // dim, count, the rows and one type id per marker: nothing else.
+    ASSERT_EQ(R.chunk(Q.chunkTag(), &Err).remaining(),
+              12 + Q.storageBytes() + 4 * Q.size())
+        << "trailing bytes in a " << markerStoreName(S) << " snapshot";
     TypeMap Loaded(8);
-    ASSERT_TRUE(Loaded.load(C, ById, &Err, S)) << Err;
-    ASSERT_TRUE(C.atEnd()) << "trailing bytes in a "
-                           << markerStoreName(S) << " snapshot";
+    ASSERT_TRUE(Loaded.load(R, ById, &Err)) << Err;
     ASSERT_EQ(Loaded.size(), Q.size());
     EXPECT_EQ(Loaded.store(), S);
     for (size_t I = 0; I != Q.size(); ++I) {
@@ -795,6 +798,87 @@ TEST(TypeMapMutationTest, TagsSurviveCoresetEviction) {
 }
 
 //===----------------------------------------------------------------------===//
+// Serialized τmap bytes: pinned per store
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The map the byte pins are computed over, in store \p S: tagged rows of
+/// two files plus untagged ones (one all-zero, so int8 meets a zero
+/// scale), quantized up front, then one file tombstoned, one of its rows
+/// resurrected under a new tag, a live duplicate dropped, the map
+/// compacted, and rows appended after the compaction. Coordinates are
+/// single products of small integers and 0.37f, so they are exact on
+/// every host.
+TypeMap pinnedMutatedMap(TypeUniverse &U, MarkerStore S) {
+  constexpr int D = 6; // int8 rows of 4 + 6 bytes: unaligned scales
+  auto Row = [](int I) {
+    std::vector<float> R(static_cast<size_t>(D));
+    for (int K = 0; K != D; ++K)
+      R[static_cast<size_t>(K)] =
+          I == 11 ? 0.f : static_cast<float>((I * 7 + K * 5) % 23 - 11) * 0.37f;
+    return R;
+  };
+  const TypeRef Types[] = {U.parse("int"), U.parse("str"),
+                           U.parse("List[int]"), U.parse("Optional[str]")};
+  auto TypeOf = [&](int I) { return Types[I % 4]; };
+  TypeMap Map(D);
+  for (int I = 0; I != 12; ++I)
+    Map.add(Row(I).data(), TypeOf(I),
+            I < 6 ? "a.py" : I < 10 ? "b.py" : "");
+  if (S != MarkerStore::F32)
+    Map.quantize(S);
+  EXPECT_EQ(Map.removeMarkersForFile("a.py"), 6u);
+  EXPECT_TRUE(Map.add(Row(2).data(), TypeOf(2), "c.py")); // resurrected
+  EXPECT_TRUE(Map.add(Row(20).data(), TypeOf(20), "a.py"));
+  EXPECT_FALSE(Map.add(Row(7).data(), TypeOf(7), "b.py")); // live duplicate
+  EXPECT_TRUE(Map.compact());
+  EXPECT_TRUE(Map.add(Row(21).data(), TypeOf(21)));
+  EXPECT_FALSE(Map.add(Row(21).data(), TypeOf(21)));
+  EXPECT_EQ(Map.size(), 9u);
+  return Map;
+}
+
+/// FNV-1a of the chunk payload save() writes for \p Map, with dense type
+/// ids assigned in first-occurrence order.
+uint64_t snapshotPayloadHash(const TypeMap &Map) {
+  std::map<TypeRef, int> TypeIds;
+  for (size_t I = 0; I != Map.size(); ++I)
+    TypeIds.emplace(Map.type(I), static_cast<int>(TypeIds.size()));
+  ArchiveWriter W(1);
+  W.beginChunk(Map.chunkTag());
+  Map.save(W, TypeIds);
+  W.endChunk();
+  ArchiveReader R;
+  std::string Err;
+  EXPECT_TRUE(R.openBytes(W.bytes(), &Err)) << Err;
+  ArchiveCursor C = R.chunk(Map.chunkTag(), &Err);
+  std::string Payload(C.remaining(), '\0');
+  C.readBytes(Payload.data(), Payload.size());
+  return fnv1a(Payload);
+}
+
+} // namespace
+
+TEST(TypeMapBytesTest, SnapshotPayloadsArePinnedPerStore) {
+  // Every store's payload is a historical byte stream that artifacts on
+  // disk already carry; a change to any of them is a format change.
+  struct Pin {
+    MarkerStore Store;
+    uint64_t Hash;
+    size_t StorageBytes;
+  };
+  for (const Pin &P : {Pin{MarkerStore::F32, 0x10f4ba70d338a0b0ull, 216},
+                       Pin{MarkerStore::F16, 0x4bef9bbf65abba67ull, 108},
+                       Pin{MarkerStore::Int8, 0x92531b0fcba4a64full, 90}}) {
+    TypeUniverse U;
+    TypeMap Map = pinnedMutatedMap(U, P.Store);
+    EXPECT_EQ(snapshotPayloadHash(Map), P.Hash) << markerStoreName(P.Store);
+    EXPECT_EQ(Map.storageBytes(), P.StorageBytes) << markerStoreName(P.Store);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Blocked exact top-k: bit-identical to the legacy full-sort scan
 //===----------------------------------------------------------------------===//
 
@@ -1113,4 +1197,113 @@ TEST(KnnIndexTest, RowsAddedAfterTheBuildAreAnswered) {
       }
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Non-finite markers are rejected on load
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Loads a hand-written one-marker snapshot of dimension 2 in store \p S:
+/// \p WriteRows writes the row payload between the header and the type
+/// id. \returns load()'s result; \p Err gets its message.
+bool loadHandWritten(MarkerStore S,
+                     const std::function<void(ArchiveWriter &)> &WriteRows,
+                     std::string *Err) {
+  TypeUniverse U;
+  TypeMap Tagger(2);
+  Tagger.quantize(S); // empty: only the chunk tag matters
+  ArchiveWriter W(2);
+  W.beginChunk(Tagger.chunkTag());
+  W.writeI32(2);
+  W.writeU64(1);
+  WriteRows(W);
+  W.writeI32(0);
+  W.endChunk();
+  ArchiveReader R;
+  EXPECT_TRUE(R.openBytes(W.bytes(), Err)) << *Err;
+  TypeMap Loaded(2);
+  return Loaded.load(R, {U.parse("int")}, Err);
+}
+
+} // namespace
+
+TEST(TypeMapLoadTest, RejectsNonFiniteF32Coordinates) {
+  const float Inf = std::numeric_limits<float>::infinity();
+  const float NaN = std::numeric_limits<float>::quiet_NaN();
+  for (float Bad : {Inf, -Inf, NaN}) {
+    std::string Err;
+    EXPECT_FALSE(loadHandWritten(
+        MarkerStore::F32,
+        [Bad](ArchiveWriter &W) {
+          const float Row[2] = {1.f, Bad};
+          W.writeF32Array(Row, 2);
+        },
+        &Err));
+    EXPECT_EQ(Err, "malformed type-map snapshot");
+  }
+  std::string Err;
+  EXPECT_TRUE(loadHandWritten(
+      MarkerStore::F32,
+      [](ArchiveWriter &W) {
+        const float Row[2] = {1.f, -2.f};
+        W.writeF32Array(Row, 2);
+      },
+      &Err))
+      << Err;
+}
+
+TEST(TypeMapLoadTest, RejectsNonFiniteF16Coordinates) {
+  // +Inf, -Inf, a quiet and a signalling NaN: every all-ones exponent.
+  for (uint16_t Bad : {0x7C00, 0xFC00, 0x7E00, 0x7C01}) {
+    std::string Err;
+    EXPECT_FALSE(loadHandWritten(
+        MarkerStore::F16,
+        [Bad](ArchiveWriter &W) {
+          const uint16_t Row[2] = {Bad, 0x3C00};
+          W.writeU16Array(Row, 2);
+        },
+        &Err))
+        << std::hex << Bad;
+    EXPECT_EQ(Err, "malformed type-map snapshot");
+  }
+  std::string Err;
+  EXPECT_TRUE(loadHandWritten(
+      MarkerStore::F16,
+      [](ArchiveWriter &W) {
+        const uint16_t Row[2] = {0x7BFF, 0x3C00}; // the largest finite half
+        W.writeU16Array(Row, 2);
+      },
+      &Err))
+      << Err;
+}
+
+TEST(TypeMapLoadTest, RejectsNonFiniteInt8Scales) {
+  const float Inf = std::numeric_limits<float>::infinity();
+  const float NaN = std::numeric_limits<float>::quiet_NaN();
+  // A non-finite scale, and a finite one whose codes decode past FLT_MAX.
+  for (float Bad : {Inf, NaN, 3e38f}) {
+    std::string Err;
+    EXPECT_FALSE(loadHandWritten(
+        MarkerStore::Int8,
+        [Bad](ArchiveWriter &W) {
+          const int8_t Codes[2] = {0, 127};
+          W.writeF32(Bad);
+          W.writeBytes(Codes, 2);
+        },
+        &Err))
+        << Bad;
+    EXPECT_EQ(Err, "malformed type-map snapshot");
+  }
+  std::string Err;
+  EXPECT_TRUE(loadHandWritten(
+      MarkerStore::Int8,
+      [](ArchiveWriter &W) {
+        const int8_t Codes[2] = {0, 127};
+        W.writeF32(0.5f);
+        W.writeBytes(Codes, 2);
+      },
+      &Err))
+      << Err;
 }

@@ -2,7 +2,8 @@
 //
 // The runtime flags typilus_cli, typilus_serve and typilus_lsp share —
 // `--threads N`, `--ef-search N` and `--no-simd` — parsed, documented and
-// applied in one place, plus the flag-value helpers the three parsers use.
+// applied in one place, plus the flag-value helpers the three parsers use:
+// every numeric flag goes through a checked integer, u64 or float parse.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,8 +14,11 @@
 #include "nn/Simd.h"
 #include "support/ThreadPool.h"
 
+#include <cctype>
 #include <cerrno>
+#include <cfloat>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -51,14 +55,43 @@ inline bool badFlagValue(const char *Flag, const char *What,
 /// Parses \p Text, the value of \p Flag, as a base-10 integer in
 /// [\p Min, \p Max]; anything else (empty, trailing characters, out of
 /// range) is a badFlagValue.
+template <typename IntT>
 inline bool parseIntFlag(const char *Flag, const char *Text, long Min,
-                         long Max, const char *What, int *Out) {
+                         long Max, const char *What, IntT *Out) {
   char *End = nullptr;
   errno = 0;
   long V = std::strtol(Text, &End, 10);
   if (End == Text || *End != '\0' || errno == ERANGE || V < Min || V > Max)
     return badFlagValue(Flag, What, Text);
-  *Out = static_cast<int>(V);
+  *Out = static_cast<IntT>(V);
+  return true;
+}
+
+/// parseIntFlag for the full unsigned 64-bit range (seeds): digits only,
+/// so no sign or space.
+inline bool parseU64Flag(const char *Flag, const char *Text, const char *What,
+                         uint64_t *Out) {
+  char *End = nullptr;
+  errno = 0;
+  unsigned long long V = std::strtoull(Text, &End, 10);
+  if (!std::isdigit(static_cast<unsigned char>(Text[0])) || *End != '\0' ||
+      errno == ERANGE)
+    return badFlagValue(Flag, What, Text);
+  *Out = V;
+  return true;
+}
+
+/// Parses \p Text as a finite number in [\p Min, \p Max] (NaN and the
+/// infinities are out of range).
+inline bool parseFloatFlag(const char *Flag, const char *Text, double Min,
+                           double Max, const char *What, double *Out) {
+  char *End = nullptr;
+  errno = 0;
+  double V = std::strtod(Text, &End);
+  if (End == Text || *End != '\0' || errno == ERANGE ||
+      !(V >= Min && V <= Max))
+    return badFlagValue(Flag, What, Text);
+  *Out = V;
   return true;
 }
 

@@ -25,10 +25,13 @@
 #include "support/Socket.h"
 
 #include <cerrno>
+#include <cfloat>
 #include <cinttypes>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sys/stat.h>
 #include <fstream>
 #include <mutex>
@@ -60,7 +63,8 @@ struct Options {
   std::vector<std::string> Sources; ///< --source: real .py files to predict.
   SplitKind Split = SplitKind::Test; ///< --split for predict.
   std::string Socket;               ///< client: daemon socket path.
-  std::string Tcp;                  ///< client: daemon HOST:PORT.
+  std::string TcpHost;              ///< client: --tcp HOST:PORT's host...
+  int TcpPort = 0;                  ///< ...and port.
   int Repeat = 1;                   ///< client: concurrent sends per source.
   bool Ping = false;                ///< client: liveness probe only.
   bool Shutdown = false;            ///< client: ask the daemon to drain.
@@ -75,7 +79,7 @@ struct Options {
   std::optional<double> P; ///< --p: distance-weighting temperature.
   std::optional<KnnIndexKind> Index; ///< --index: exact | annoy | hnsw.
   std::optional<MarkerStore> TmapStore; ///< --tmap-store: f32|f16|int8.
-  long TmapMaxMarkers = 0;     ///< --tmap-max-markers: coreset cap (0 = off).
+  size_t TmapMaxMarkers = 0;   ///< --tmap-max-markers: coreset cap (0 = off).
   bool Verbose = false;
   std::string Encoder = "graph";
   std::string Loss = "typilus";
@@ -140,10 +144,25 @@ bool parseSplitKind(std::string_view Name, SplitKind *Out) {
   return false;
 }
 
+/// Splits the value of --tcp at the last ':' (plain IPv4 / hostnames)
+/// into \p Host and a checked \p Port.
+bool parseHostPort(const char *Spec, std::string &Host, int &Port) {
+  const char *Colon = std::strrchr(Spec, ':');
+  if (!Colon || Colon == Spec)
+    return tools::badFlagValue("--tcp", "HOST:PORT", Spec);
+  Host.assign(Spec, Colon);
+  return tools::parseIntFlag("--tcp", Colon + 1, 1, 65535,
+                             "HOST:PORT with a port in 1..65535", &Port);
+}
+
 bool parseOptions(int Argc, char **Argv, Options &O) {
   for (int I = 2; I < Argc; ++I) {
     std::string A = Argv[I];
     auto Next = [&] { return tools::flagValue(Argc, Argv, I); };
+    auto IntFlag = [&](long Min, long Max, const char *What, auto *Out) {
+      const char *V = Next();
+      return V && tools::parseIntFlag(A.c_str(), V, Min, Max, What, Out);
+    };
     const char *V = nullptr;
     if (A == "--out") {
       if (!(V = Next())) return false;
@@ -157,8 +176,9 @@ bool parseOptions(int Argc, char **Argv, Options &O) {
     } else if (A == "--resume") {
       O.Resume = true;
     } else if (A == "--checkpoint-every") {
-      if (!(V = Next())) return false;
-      O.CheckpointEvery = std::atoi(V);
+      if (!IntFlag(0, INT_MAX, "a non-negative step count",
+                   &O.CheckpointEvery))
+        return false;
     } else if (A == "--shards") {
       if (!(V = Next())) return false;
       O.ShardDir = V;
@@ -166,8 +186,8 @@ bool parseOptions(int Argc, char **Argv, Options &O) {
       if (!(V = Next())) return false;
       O.OutDir = V;
     } else if (A == "--shard-files") {
-      if (!(V = Next())) return false;
-      O.ShardFiles = std::atoi(V);
+      if (!IntFlag(1, INT_MAX, "a positive file count", &O.ShardFiles))
+        return false;
     } else if (A == "--from-dir") {
       if (!(V = Next())) return false;
       O.FromDir = V;
@@ -181,29 +201,34 @@ bool parseOptions(int Argc, char **Argv, Options &O) {
       if (!parseSplitKind(V, &O.Split))
         return tools::badFlagValue("--split", "train, valid or test", V);
     } else if (A == "--files") {
-      if (!(V = Next())) return false;
-      O.Files = std::atoi(V);
+      if (!IntFlag(1, INT_MAX, "a positive file count", &O.Files))
+        return false;
     } else if (A == "--udts") {
-      if (!(V = Next())) return false;
-      O.Udts = std::atoi(V);
+      if (!IntFlag(0, INT_MAX, "a non-negative class count", &O.Udts))
+        return false;
     } else if (A == "--epochs") {
-      if (!(V = Next())) return false;
-      O.Epochs = std::atoi(V);
+      if (!IntFlag(0, INT_MAX, "a non-negative epoch count", &O.Epochs))
+        return false;
     } else if (A == "--hidden") {
-      if (!(V = Next())) return false;
-      O.Hidden = std::atoi(V);
+      if (!IntFlag(1, 4096, "a hidden width in 1..4096", &O.Hidden))
+        return false;
     } else if (A == "--limit") {
-      if (!(V = Next())) return false;
-      O.Limit = std::atoi(V);
+      if (!IntFlag(-1, INT_MAX, "a count (-1 = all)", &O.Limit))
+        return false;
     } else if (A == "--k") {
-      if (!(V = Next())) return false;
-      O.K = std::atoi(V);
+      if (!IntFlag(1, INT_MAX, "a positive neighbour count", &O.K.emplace()))
+        return false;
     } else if (A == "--p") {
-      if (!(V = Next())) return false;
-      O.P = std::atof(V);
+      if (!(V = Next()) ||
+          !tools::parseFloatFlag("--p", V, 0, DBL_MAX,
+                                 "a finite non-negative exponent",
+                                 &O.P.emplace()))
+        return false;
     } else if (A == "--seed") {
-      if (!(V = Next())) return false;
-      O.Seed = std::strtoull(V, nullptr, 10);
+      if (!(V = Next()) ||
+          !tools::parseU64Flag("--seed", V, "an unsigned 64-bit integer",
+                               &O.Seed))
+        return false;
     } else if (A == "--encoder") {
       if (!(V = Next())) return false;
       O.Encoder = V;
@@ -214,11 +239,11 @@ bool parseOptions(int Argc, char **Argv, Options &O) {
       if (!(V = Next())) return false;
       O.Socket = V;
     } else if (A == "--tcp") {
-      if (!(V = Next())) return false;
-      O.Tcp = V;
+      if (!(V = Next()) || !parseHostPort(V, O.TcpHost, O.TcpPort))
+        return false;
     } else if (A == "--repeat") {
-      if (!(V = Next())) return false;
-      O.Repeat = std::atoi(V);
+      if (!IntFlag(1, 1024, "a repeat count in 1..1024", &O.Repeat))
+        return false;
     } else if (A == "--ping") {
       O.Ping = true;
     } else if (A == "--shutdown") {
@@ -234,8 +259,8 @@ bool parseOptions(int Argc, char **Argv, Options &O) {
       if (!parseMarkerStore(V, &O.TmapStore.emplace()))
         return tools::badFlagValue("--tmap-store", "f32, f16 or int8", V);
     } else if (A == "--tmap-max-markers") {
-      if (!(V = Next())) return false;
-      O.TmapMaxMarkers = std::atol(V);
+      if (!IntFlag(0, LONG_MAX, "a non-negative count", &O.TmapMaxMarkers))
+        return false;
     } else if (A == "--verbose") {
       O.Verbose = true;
     } else if (int R = O.Runtime.parse(Argc, Argv, I)) {
@@ -478,9 +503,7 @@ int cmdTrain(const Options &O) {
   KO.EfSearch = O.Runtime.EfSearch;
   KO.NumThreads = O.Runtime.Threads;
   KO.Store = O.TmapStore.value_or(MarkerStore::F32);
-  if (O.TmapMaxMarkers < 0)
-    return fail("--tmap-max-markers expects a non-negative count");
-  KO.MaxMarkers = static_cast<size_t>(O.TmapMaxMarkers);
+  KO.MaxMarkers = O.TmapMaxMarkers;
   Predictor P = MC.Loss == LossKind::Class
                     ? Predictor::classifier(*Model)
                     : Predictor::knn(*Model, *MapSrc, KO);
@@ -522,11 +545,6 @@ int cmdTrain(const Options &O) {
 /// before any corpus work instead of mid-build. Creates \p Dir if
 /// missing and proves it is writable with a probe file.
 bool validateShardArgs(const Options &O, std::string *Err) {
-  if (O.ShardFiles < 1) {
-    *Err = "--shard-files expects a positive file count; got " +
-           std::to_string(O.ShardFiles);
-    return false;
-  }
   if (::mkdir(O.OutDir.c_str(), 0777) != 0 && errno != EEXIST) {
     *Err = "cannot create --out-dir '" + O.OutDir + "'";
     return false;
@@ -803,33 +821,13 @@ int cmdSave(const Options &O) {
 // client (talk to a typilus_serve daemon)
 //===----------------------------------------------------------------------===//
 
-/// Splits "--tcp HOST:PORT" at the last ':' (plain IPv4 / hostnames).
-bool parseHostPort(const std::string &Spec, std::string &Host, uint16_t &Port,
-                   std::string *Err) {
-  size_t Colon = Spec.rfind(':');
-  long P = Colon == std::string::npos
-               ? -1
-               : std::atol(Spec.c_str() + Colon + 1);
-  if (Colon == 0 || P < 1 || P > 65535) {
-    if (Err)
-      *Err = "--tcp expects HOST:PORT, got '" + Spec + "'";
-    return false;
-  }
-  Host = Spec.substr(0, Colon);
-  Port = static_cast<uint16_t>(P);
-  return true;
-}
-
 /// Sends one request line over its own connection (Unix socket or TCP,
 /// whichever the options name) and reads one response.
 bool roundTrip(const Options &O, const std::string &RequestLine,
                std::string &ResponseLine, std::string *Err) {
   FileDesc Fd;
-  if (!O.Tcp.empty()) {
-    std::string Host;
-    uint16_t Port = 0;
-    if (!parseHostPort(O.Tcp, Host, Port, Err) ||
-        !connectTcp(Host, Port, Fd, Err))
+  if (!O.TcpHost.empty()) {
+    if (!connectTcp(O.TcpHost, static_cast<uint16_t>(O.TcpPort), Fd, Err))
       return false;
   } else if (!connectUnix(O.Socket, Fd, Err)) {
     return false;
@@ -855,7 +853,7 @@ bool roundTrip(const Options &O, const std::string &RequestLine,
 }
 
 int cmdClient(const Options &O) {
-  if (O.Socket.empty() == O.Tcp.empty())
+  if (O.Socket.empty() == O.TcpHost.empty())
     return fail("client needs exactly one of --socket PATH / --tcp HOST:PORT");
 
   if (O.Ping || O.Shutdown || O.Reload) {
@@ -880,7 +878,6 @@ int cmdClient(const Options &O) {
   if (O.Sources.empty())
     return fail(
         "client needs --source FILE.py (or --ping / --reload / --shutdown)");
-  int Repeat = O.Repeat < 1 ? 1 : O.Repeat;
 
   // One job per (source × repeat), each over its own connection, all in
   // flight at once — the concurrent load the daemon's request queue
@@ -903,7 +900,7 @@ int cmdClient(const Options &O) {
                       ",\"method\":\"predict\",\"path\":" + json::quoted(Src) +
                       ",\"limit\":" + std::to_string(O.Limit) +
                       ",\"source\":" + json::quoted(SS.str()) + "}\n";
-    for (int R = 0; R != Repeat; ++R)
+    for (int R = 0; R != O.Repeat; ++R)
       Jobs.push_back(Job{Src, Req, "", "", false});
   }
 

@@ -81,9 +81,10 @@ bool parseOptions(int Argc, char **Argv, Options &O) {
     } else if (A == "--stdio") {
       O.Stdio = true;
     } else if (A == "--min-confidence") {
-      if (!(V = Next()))
+      if (!(V = Next()) ||
+          !tools::parseFloatFlag("--min-confidence", V, 0, 1,
+                                 "a probability in [0, 1]", &O.MinConfidence))
         return false;
-      O.MinConfidence = std::atof(V);
     } else if (A == "--no-checker-gate") {
       O.NoCheckerGate = true;
     } else if (A == "--infer-locals") {

@@ -26,6 +26,7 @@
 #include "support/Socket.h"
 
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -84,6 +85,10 @@ bool parseOptions(int Argc, char **Argv, Options &O) {
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
     auto Next = [&] { return tools::flagValue(Argc, Argv, I); };
+    auto IntFlag = [&](long Min, long Max, const char *What, auto *Out) {
+      const char *V = Next();
+      return V && tools::parseIntFlag(A.c_str(), V, Min, Max, What, Out);
+    };
     const char *V = nullptr;
     if (A == "--model") {
       if (!(V = Next()))
@@ -94,9 +99,7 @@ bool parseOptions(int Argc, char **Argv, Options &O) {
         return false;
       O.SocketPath = V;
     } else if (A == "--port") {
-      if (!(V = Next()) ||
-          !tools::parseIntFlag("--port", V, 0, 65535,
-                               "a port number in 0..65535", &O.Port))
+      if (!IntFlag(0, 65535, "a port number in 0..65535", &O.Port))
         return false;
     } else if (A == "--host") {
       if (!(V = Next()))
@@ -105,25 +108,20 @@ bool parseOptions(int Argc, char **Argv, Options &O) {
     } else if (A == "--stdio") {
       O.Stdio = true;
     } else if (A == "--max-batch") {
-      if (!(V = Next()))
+      if (!IntFlag(1, INT_MAX, "a positive batch size", &O.MaxBatch))
         return false;
-      O.MaxBatch = std::atoi(V);
     } else if (A == "--max-request-bytes") {
-      if (!(V = Next()))
+      if (!IntFlag(1, LONG_MAX, "a positive byte count", &O.MaxRequestBytes))
         return false;
-      O.MaxRequestBytes = std::atol(V);
     } else if (A == "--limit") {
-      if (!(V = Next()))
+      if (!IntFlag(-1, INT_MAX, "a count (-1 = all)", &O.Limit))
         return false;
-      O.Limit = std::atoi(V);
     } else if (A == "--cache-entries") {
-      if (!(V = Next()))
+      if (!IntFlag(0, INT_MAX, "a non-negative entry count", &O.CacheEntries))
         return false;
-      O.CacheEntries = std::atoi(V);
     } else if (A == "--max-queue") {
-      if (!(V = Next()))
+      if (!IntFlag(0, INT_MAX, "a non-negative queue depth", &O.MaxQueue))
         return false;
-      O.MaxQueue = std::atoi(V);
     } else if (int R = O.Runtime.parse(Argc, Argv, I)) {
       if (R < 0)
         return false;
