@@ -2,11 +2,11 @@
 //
 // The crawl-scale query engine head-to-head: the legacy exact scan
 // (materialize + partial_sort), the blocked exact scan (tiled, bounded
-// heap), the Annoy-style forest and the deterministic HNSW graph, over
-// growing marker counts. Reports per-query latency, build time and
-// recall@10 against the exact answer — the trade surface behind
-// KnnOptions::Index. Records via tools/record_bench.sh as
-// BENCH_knn_query.json.
+// heap) over f32, f16 and int8 marker stores, the Annoy-style forest and
+// the deterministic HNSW graph, over growing marker counts. Reports
+// per-query latency, build time and recall@10 against the exact answer —
+// the trade surface behind KnnOptions::Index. Records via
+// tools/record_bench.sh as BENCH_knn_query.json.
 //
 // Acceptance anchors: blocked >= 2x the legacy scan single-threaded at
 // >= 10k markers; HNSW recall@10 >= 0.95 with per-query cost that grows
@@ -116,6 +116,27 @@ int main() {
               strformat("%.1f", BlockedMtUs), "1.000",
               strformat("%.2fx", LegacyUs / Blocked1Us)});
 
+    // The blocked scan over quantized stores: one scan loop decodes
+    // every store, so these rows time its f16 and int8 decode. Recall is
+    // against the f32 answer (quantization moves some distances).
+    for (MarkerStore S : {MarkerStore::F16, MarkerStore::Int8}) {
+      TypeMap QMap = Map;
+      QMap.quantize(S);
+      ExactIndex QExact(QMap);
+      T0 = std::chrono::steady_clock::now();
+      auto Q1 = QExact.queryBatch(Qs.data(), NumQ, K, /*Budget=*/0,
+                                  /*MaxWays=*/1);
+      double Q1Us = secondsSince(T0) / NumQ * 1e6;
+      T0 = std::chrono::steady_clock::now();
+      QExact.queryBatch(Qs.data(), NumQ, K);
+      double QMtUs = secondsSince(T0) / NumQ * 1e6;
+      T.addRow({strformat("%d", N),
+                strformat("exact blocked %s", markerStoreName(S)), "-",
+                strformat("%.1f", Q1Us), strformat("%.1f", QMtUs),
+                strformat("%.3f", recallAt10(Truth, Q1)),
+                strformat("%.2fx", LegacyUs / Q1Us)});
+    }
+
     // Annoy forest at the Predictor's build parameters.
     T0 = std::chrono::steady_clock::now();
     AnnoyIndex Annoy(Map, /*NumTrees=*/8, /*LeafSize=*/16, /*Seed=*/0xA220);
@@ -169,8 +190,9 @@ int main() {
   std::printf(
       "\n(query 1t = per-query latency single-threaded; mt = queryBatch on\n"
       "the full pool. Exact engines are bit-identical by construction —\n"
-      "the blocked row is verified against legacy in-run. HNSW queries use\n"
-      "the default per-request budget; KnnOptions::EfSearch raises recall\n"
-      "at the cost of latency.)\n");
+      "the blocked row is verified against legacy in-run; the f16/int8\n"
+      "rows scan quantized markers, so their recall is against f32. HNSW\n"
+      "queries use the default per-request budget; KnnOptions::EfSearch\n"
+      "raises recall at the cost of latency.)\n");
   return 0;
 }

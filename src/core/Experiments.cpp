@@ -67,18 +67,14 @@ typilus::runCheckerExperiment(Workbench &WB,
                               const std::vector<PredictionResult> &Preds,
                               bool InferLocals, double StripProb,
                               uint64_t Seed) {
-  // Group predictions per file path. Results carry no dataset pointers,
-  // so the graph (for NodeIdx -> SymbolId) is found again by path.
+  // Group predictions per file path; each result carries its symbol's
+  // SymbolId, so re-parsing the source is all a file needs.
   std::map<std::string, std::vector<const PredictionResult *>> ByFile;
   for (const PredictionResult &P : Preds)
     ByFile[P.FilePath].push_back(&P);
   std::map<std::string, const CorpusFile *> SourceOf;
   for (const CorpusFile &F : WB.Files)
     SourceOf[F.Path] = &F;
-  std::map<std::string, const FileExample *> ExampleOf;
-  for (const auto *Split : {&WB.DS.Train, &WB.DS.Valid, &WB.DS.Test})
-    for (const FileExample &F : *Split)
-      ExampleOf[F.Path] = &F;
 
   Checker Check(*WB.U, *WB.H, CheckerOptions{InferLocals});
   std::vector<CheckOutcome> Outcomes;
@@ -104,16 +100,11 @@ typilus::runCheckerExperiment(Workbench &WB,
     if (Baseline != 0)
       continue; // paper: discard programs that fail before substitution
 
-    auto ExIt = ExampleOf.find(Path);
-    if (ExIt == ExampleOf.end())
-      continue;
-    const FileExample *Ex = ExIt->second;
     for (const PredictionResult *P : FilePreds) {
       TypeRef Pred = P->top();
       if (!Pred || Pred == WB.U->any())
         continue; // paper: Any predictions are skipped
-      int SymId =
-          Ex->Graph.Nodes[static_cast<size_t>(P->NodeIdx)].SymbolId;
+      int SymId = P->SymbolId;
       if (SymId < 0 || static_cast<size_t>(SymId) >= ST.size())
         continue;
       Symbol *Sym = ST[static_cast<size_t>(SymId)];

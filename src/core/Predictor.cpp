@@ -22,37 +22,23 @@ static uint64_t microsSince(std::chrono::steady_clock::time_point T0) {
           .count());
 }
 
-/// Embeds every file of \p Files through the single-file encoder pass, in
-/// inference mode, into \p Embs and \p Targets (index-aligned with
-/// \p Files; files without targets keep an empty tensor). Thread-safe
-/// encoders run data-parallel over the pool, capped at \p MaxWays; the
-/// others (Path) run in file order, because they consume their sampling
-/// RNG sequentially — the order separate single-file calls would use.
-static void embedFiles(TypeModel &Model,
-                       const std::vector<const FileExample *> &Files,
-                       int MaxWays, std::vector<Tensor> &Embs,
-                       std::vector<std::vector<const Target *>> &Targets) {
+/// Hands \p Files to \p Fn one window of pinned examples at a time, in
+/// order. Windowing changes no bits — every file still goes through the
+/// single-file embed, and results and markers come out in file order —
+/// while residency stays one window of decoded shards instead of the
+/// whole corpus.
+template <typename WindowFn>
+static void forEachWindow(ExampleSource &Files, WindowFn &&Fn) {
+  constexpr size_t WindowFiles = 32;
   const size_t N = Files.size();
-  Embs.assign(N, Tensor());
-  Targets.assign(N, {});
-  auto EmbedOne = [&](size_t I) {
-    nn::NoGradGuard NoGrad; // thread-local: held on the embedding thread
-    nn::Value Emb = Model.embed({Files[I]}, &Targets[I]);
-    if (Emb.defined())
-      Embs[I] = Emb.val();
-  };
-  if (!Model.supportsParallelEmbed()) {
-    for (size_t I = 0; I != N; ++I)
-      EmbedOne(I);
-    return;
+  for (size_t Lo = 0; Lo < N; Lo += WindowFiles) {
+    const size_t W = std::min(N, Lo + WindowFiles) - Lo;
+    std::vector<ExamplePin> Pins(W);
+    std::vector<const FileExample *> Window(W);
+    for (size_t I = 0; I != W; ++I)
+      Window[I] = &Files.get(Lo + I, Pins[I]);
+    Fn(Window);
   }
-  parallelFor(
-      0, static_cast<int64_t>(N), 1,
-      [&](int64_t Lo, int64_t Hi) {
-        for (int64_t I = Lo; I != Hi; ++I)
-          EmbedOne(static_cast<size_t>(I));
-      },
-      MaxWays);
 }
 
 Predictor Predictor::knn(TypeModel &Model, ExampleSource &MapFiles,
@@ -63,40 +49,15 @@ Predictor Predictor::knn(TypeModel &Model, ExampleSource &MapFiles,
   P.Map = std::make_unique<TypeMap>(Model.config().HiddenDim);
 
   // Pre-size from the stream's metadata (a shard set knows its target
-  // totals without decoding anything), then fill window by window: pin a
-  // window of files, embed it data-parallel when the encoder is
-  // thread-safe (each file's forward pass only reads the trained
-  // parameters), and append markers in file order. Windowing changes no
-  // bits — every file goes through the same single-file embed, and the
-  // marker layout is file order either way — while residency stays one
-  // window of decoded shards instead of the whole corpus.
+  // totals without decoding anything), then fill window by window:
+  // embed the window (data-parallel when the encoder is thread-safe) and
+  // append its markers in file order.
   P.Map->reserve(MapFiles.numTargets());
-  constexpr size_t WindowFiles = 32;
-  size_t N = MapFiles.size();
-  for (size_t Lo = 0; Lo < N; Lo += WindowFiles) {
-    size_t Hi = std::min(N, Lo + WindowFiles);
-    size_t W = Hi - Lo;
-    std::vector<ExamplePin> Pins(W);
-    std::vector<const FileExample *> Window(W);
-    for (size_t I = 0; I != W; ++I)
-      Window[I] = &MapFiles.get(Lo + I, Pins[I]);
-
-    std::vector<Tensor> Embs;
-    std::vector<std::vector<const Target *>> Targets;
-    embedFiles(Model, Window, Opts.NumThreads, Embs, Targets);
-    P.EmbedCalls += W;
-    for (size_t F = 0; F != W; ++F) {
-      const Tensor &E = Embs[F];
-      if (E.numel() == 0)
-        continue;
-      // Tag each marker with its source file so the editor loop can
-      // retire a file's rows later. Tags are sidecar state: the marker
-      // bytes and layout are unchanged.
-      for (size_t I = 0; I != Targets[F].size(); ++I)
-        P.Map->add(E.data() + static_cast<int64_t>(I) * E.cols(),
-                   Targets[F][I]->Type, Window[F]->Path);
-    }
-  }
+  forEachWindow(MapFiles, [&P](const std::vector<const FileExample *> &W) {
+    Embedded E = P.embed(W);
+    for (size_t F = 0; F != W.size(); ++F)
+      P.addFileMarkers(W[F]->Path, E.Embs[F], E.Targets[F]);
+  });
   // τmap compaction, in order: bound the marker count over the exact f32
   // coordinates first, then (optionally) quantize the survivors, then
   // build the index over whatever representation will actually serve.
@@ -235,7 +196,7 @@ std::unique_ptr<Predictor> Predictor::load(const std::string &Path,
 }
 
 //===----------------------------------------------------------------------===//
-// Prediction
+// Index and τmap maintenance
 //===----------------------------------------------------------------------===//
 
 void Predictor::rebuildIndex() {
@@ -286,19 +247,80 @@ void Predictor::addMarker(const float *Embedding, TypeRef T) {
   Map->add(Embedding, T);
 }
 
-void Predictor::addMarkersFrom(const FileExample &File) {
-  assert(IsKnn && "markers only apply to kNN predictors");
-  std::vector<const Target *> Targets;
-  nn::NoGradGuard NoGrad;
-  nn::Value Emb = Model->embed({&File}, &Targets);
-  ++EmbedCalls;
-  if (!Emb.defined())
-    return;
-  const Tensor &E = Emb.val();
-  Map->reserve(Map->size() + Targets.size()); // reserve() takes a total
-  for (size_t I = 0; I != Targets.size(); ++I)
-    Map->add(E.data() + static_cast<int64_t>(I) * E.cols(),
-             Targets[I]->Type, File.Path);
+//===----------------------------------------------------------------------===//
+// The inference pipeline: buildExamples -> embed -> answer -> addFileMarkers
+//===----------------------------------------------------------------------===//
+
+std::vector<FileExample>
+Predictor::buildExamples(const std::vector<CorpusFile> &Files) {
+  TypeUniverse *U = universe();
+  if (!U)
+    throw std::runtime_error("predicting from source needs a type universe: "
+                             "load an artifact or call setUniverse first");
+  std::vector<FileExample> Examples;
+  Examples.reserve(Files.size());
+  for (const CorpusFile &F : Files)
+    Examples.push_back(buildExample(F, *U, {}));
+  return Examples;
+}
+
+Predictor::Embedded
+Predictor::embed(const std::vector<const FileExample *> &Files) {
+  // File-level data parallelism: each file goes through the exact
+  // single-file embed call, in inference mode, so results are
+  // bit-identical however the files are batched, and thread-safe encoders
+  // (each forward pass only reads the trained parameters) embed files
+  // concurrently through the pool. (A merged multi-file batch graph was
+  // measured slower: the batched node matrix blows the cache while the
+  // small per-request GEMMs were never parallel to begin with.) The other
+  // encoders (Path) run in file order, because they consume their
+  // sampling RNG sequentially — the order separate calls would use.
+  auto T0 = std::chrono::steady_clock::now();
+  const size_t N = Files.size();
+  Embedded E;
+  E.Embs.resize(N);
+  E.Targets.resize(N);
+  auto EmbedOne = [&](size_t I) {
+    nn::NoGradGuard NoGrad; // thread-local: held on the embedding thread
+    nn::Value Emb = Model->embed({Files[I]}, &E.Targets[I]);
+    if (Emb.defined())
+      E.Embs[I] = Emb.val();
+  };
+  if (Model->supportsParallelEmbed()) {
+    parallelFor(
+        0, static_cast<int64_t>(N), 1,
+        [&](int64_t Lo, int64_t Hi) {
+          for (int64_t I = Lo; I != Hi; ++I)
+            EmbedOne(static_cast<size_t>(I));
+        },
+        Knn.NumThreads);
+  } else {
+    for (size_t I = 0; I != N; ++I)
+      EmbedOne(I);
+  }
+  EmbedCalls += N;
+  EmbedMicros += microsSince(T0);
+  return E;
+}
+
+/// The classifier's candidates for row \p Row of \p Probs: the top ten
+/// classes of the closed vocabulary \p Full, ties broken by class id.
+static std::vector<ScoredType> topClasses(const Tensor &Probs, int64_t Row,
+                                          const TypeIdMap &Full) {
+  std::vector<std::pair<float, int>> Ranked;
+  for (int64_t C = 0; C != Probs.cols(); ++C)
+    Ranked.emplace_back(Probs.at(Row, C), static_cast<int>(C));
+  size_t Keep = std::min<size_t>(10, Ranked.size());
+  std::partial_sort(Ranked.begin(), Ranked.begin() + static_cast<long>(Keep),
+                    Ranked.end(), [](const auto &A, const auto &B) {
+                      if (A.first != B.first)
+                        return A.first > B.first;
+                      return A.second < B.second;
+                    });
+  std::vector<ScoredType> Out;
+  for (size_t C = 0; C != Keep; ++C)
+    Out.push_back(ScoredType{Full.type(Ranked[C].second), Ranked[C].first});
+  return Out;
 }
 
 /// Copies the stable identity of target \p T (index \p I of \p File's
@@ -320,21 +342,85 @@ static void fillIdentity(PredictionResult &R, const FileExample &File,
   R.Truth = Owned && T.Type ? Owned->intern(T.Type) : T.Type;
 }
 
+std::vector<std::vector<PredictionResult>>
+Predictor::answer(const std::vector<const FileExample *> &Files,
+                  const Embedded &E) {
+  const size_t N = Files.size();
+  std::vector<NeighborList> Neigh;
+  if (IsKnn) {
+    // One bulk index probe for every target of every file, answered
+    // through the pool against the already-loaded τmap. A single file's
+    // embedding is already the contiguous query block and is read in
+    // place; several files' blocks are gathered into one.
+    int64_t NumQ = 0;
+    for (const std::vector<const Target *> &T : E.Targets)
+      NumQ += static_cast<int64_t>(T.size());
+    std::vector<float> Gathered;
+    if (N != 1) {
+      Gathered.reserve(static_cast<size_t>(NumQ * Map->dim()));
+      for (const Tensor &Emb : E.Embs)
+        Gathered.insert(Gathered.end(), Emb.data(), Emb.data() + Emb.numel());
+    }
+    const float *Queries = N == 1 ? E.Embs.front().data() : Gathered.data();
+    auto T0 = std::chrono::steady_clock::now();
+    Neigh = Index->queryBatch(Queries, NumQ, Knn.K, Knn.EfSearch,
+                              Knn.NumThreads);
+    KnnMicros += microsSince(T0);
+  }
+
+  // Rank every target: Eq. 5 over its neighbours, or the classifier's
+  // softmax over the closed vocabulary (row results are independent, so
+  // per-file equals one stacked pass).
+  const TypeIdMap &Full = Model->typeVocabs().Full;
+  std::vector<std::vector<PredictionResult>> Out(N);
+  size_t Row = 0;
+  for (size_t F = 0; F != N; ++F) {
+    Tensor Probs;
+    if (!IsKnn && E.Embs[F].numel() > 0) {
+      nn::NoGradGuard NoGrad;
+      Probs = Model->classProbs(nn::Value::constant(E.Embs[F]));
+    }
+    Out[F].reserve(E.Targets[F].size());
+    for (size_t I = 0; I != E.Targets[F].size(); ++I) {
+      PredictionResult R;
+      fillIdentity(R, *Files[F], *E.Targets[F][I], I, OwnedU.get());
+      if (IsKnn)
+        R.Candidates = scoreNeighbors(*Map, Neigh[Row++], Knn.P);
+      else
+        R.Candidates = topClasses(Probs, static_cast<int64_t>(I), Full);
+      Out[F].push_back(std::move(R));
+    }
+  }
+  return Out;
+}
+
+void Predictor::addFileMarkers(const std::string &Path, const Tensor &Emb,
+                               const std::vector<const Target *> &Targets) {
+  // Each marker is tagged with its source file so the editor loop can
+  // retire the file's rows later. Tags are sidecar state: the marker
+  // bytes and layout are unchanged.
+  for (size_t I = 0; I != Targets.size(); ++I)
+    if (Targets[I]->Type)
+      Map->add(Emb.data() + static_cast<int64_t>(I) * Emb.cols(),
+               Targets[I]->Type, Path);
+}
+
+//===----------------------------------------------------------------------===//
+// Entry points
+//===----------------------------------------------------------------------===//
+
+std::vector<std::vector<PredictionResult>>
+Predictor::predictBatch(const std::vector<const FileExample *> &Files) {
+  return answer(Files, embed(Files));
+}
+
 std::vector<PredictionResult> Predictor::predictFile(const FileExample &File) {
   return std::move(predictBatch({&File}).front());
 }
 
 std::vector<std::vector<PredictionResult>>
 Predictor::predictSources(const std::vector<CorpusFile> &Files) {
-  TypeUniverse *U = universe();
-  if (!U)
-    throw std::runtime_error(
-        "predictSource needs a type universe: load an artifact or call "
-        "setUniverse first");
-  std::vector<FileExample> Examples;
-  Examples.reserve(Files.size());
-  for (const CorpusFile &F : Files)
-    Examples.push_back(buildExample(F, *U, {}));
+  std::vector<FileExample> Examples = buildExamples(Files);
   std::vector<const FileExample *> Ptrs;
   Ptrs.reserve(Examples.size());
   for (const FileExample &E : Examples)
@@ -347,53 +433,41 @@ Predictor::predictSource(const std::string &Path, const std::string &Source) {
   return std::move(predictSources({CorpusFile{Path, Source}}).front());
 }
 
+std::vector<PredictionResult> Predictor::predictAll(ExampleSource &Files) {
+  // Windowed so a whole-corpus call does not hold every file's results
+  // of one giant batch at once (and a streamed split never decodes more
+  // than a window's worth of shards); results are identical for any
+  // window size.
+  std::vector<PredictionResult> All;
+  forEachWindow(Files, [&](const std::vector<const FileExample *> &W) {
+    for (std::vector<PredictionResult> &Part : predictBatch(W))
+      All.insert(All.end(), std::make_move_iterator(Part.begin()),
+                 std::make_move_iterator(Part.end()));
+  });
+  return All;
+}
+
 std::vector<PredictionResult>
 Predictor::annotateIncremental(const std::string &Path,
                                const std::string &Source) {
-  assert(IsKnn && "the incremental loop is a kNN-predictor feature");
-  TypeUniverse *U = universe();
-  if (!U)
-    throw std::runtime_error(
-        "annotateIncremental needs a type universe: load an artifact or "
-        "call setUniverse first");
+  if (!IsKnn)
+    throw std::runtime_error("annotateIncremental needs a kNN predictor: a "
+                             "classifier has no type map to update");
   // 1. Retire the file's previous markers: its own stale rows must never
   //    answer its queries (and a single-file session's digest therefore
-  //    matches predictSource over the untouched artifact — CI pins this).
+  //    matches predictSource over the untouched artifact).
   Map->removeMarkersForFile(Path);
   // 2. Parse and embed only this file — exactly one encoder pass, which
   //    embedCalls() lets tests pin.
-  FileExample Ex = buildExample(CorpusFile{Path, Source}, *U, {});
-  std::vector<const Target *> Targets;
-  auto EmbedT0 = std::chrono::steady_clock::now();
-  nn::NoGradGuard NoGrad;
-  nn::Value Emb = Model->embed({&Ex}, &Targets);
-  ++EmbedCalls;
-  EmbedMicros += microsSince(EmbedT0);
-  std::vector<PredictionResult> Out;
-  if (Emb.defined() && !Targets.empty()) {
-    const Tensor &E = Emb.val();
-    // 3. kNN against the updated index, through the same merged query
-    //    kernel predictBatch uses.
-    auto KnnT0 = std::chrono::steady_clock::now();
-    std::vector<NeighborList> Neigh =
-        Index->queryBatch(E.data(), static_cast<int64_t>(Targets.size()),
-                          Knn.K, Knn.EfSearch, Knn.NumThreads);
-    KnnMicros += microsSince(KnnT0);
-    Out.reserve(Targets.size());
-    for (size_t I = 0; I != Targets.size(); ++I) {
-      PredictionResult R;
-      fillIdentity(R, Ex, *Targets[I], I, OwnedU.get());
-      R.Candidates = scoreNeighbors(*Map, Neigh[I], Knn.P);
-      Out.push_back(std::move(R));
-    }
-    // 4. Swap in the file's current markers so other files' queries see
-    //    its content. Unchanged rows resurrect their tombstones in place
-    //    — the τmap is bit-identical to the pre-edit state.
-    for (size_t I = 0; I != Targets.size(); ++I)
-      if (Targets[I]->Type)
-        Map->add(E.data() + static_cast<int64_t>(I) * E.cols(),
-                 Targets[I]->Type, Path);
-  }
+  std::vector<FileExample> Ex = buildExamples({CorpusFile{Path, Source}});
+  const std::vector<const FileExample *> Files{&Ex.front()};
+  Embedded E = embed(Files);
+  // 3. Answer against the updated index, through predictBatch's step.
+  std::vector<PredictionResult> Out = std::move(answer(Files, E).front());
+  // 4. Swap in the file's current markers so other files' queries see
+  //    its content. Unchanged rows resurrect their tombstones in place
+  //    — the τmap is bit-identical to the pre-edit state.
+  addFileMarkers(Path, E.Embs.front(), E.Targets.front());
   // 5. Amortized compaction: only past the policy ratio do tombstones get
   //    dropped and the index rebuilt (over the live rows only).
   maybeCompact();
@@ -419,109 +493,6 @@ bool Predictor::compactMarkers() {
 void Predictor::maybeCompact() {
   if (Knn.CompactRatio > 0 && Map->tombstoneRatio() > Knn.CompactRatio)
     compactMarkers();
-}
-
-std::vector<std::vector<PredictionResult>>
-Predictor::predictBatch(const std::vector<const FileExample *> &Files) {
-  std::vector<std::vector<PredictionResult>> Out(Files.size());
-  if (Files.empty())
-    return Out;
-
-  // File-level data parallelism: each file goes through the exact
-  // single-file embed call predictFile would make — bit-identity with
-  // single-shot prediction holds by construction — and thread-safe
-  // encoders embed files concurrently through the pool. (A merged
-  // multi-file batch graph was measured slower here: the batched node
-  // matrix blows the cache while the small per-request GEMMs were never
-  // parallel to begin with. File granularity scales with cores instead.)
-  size_t N = Files.size();
-  std::vector<Tensor> Embs;
-  std::vector<std::vector<const Target *>> Targets;
-  auto EmbedT0 = std::chrono::steady_clock::now();
-  embedFiles(*Model, Files, Knn.NumThreads, Embs, Targets);
-  EmbedCalls += N;
-  EmbedMicros += microsSince(EmbedT0);
-
-  if (IsKnn) {
-    // One bulk index probe for every target of every file, answered
-    // through the pool against the already-loaded τmap.
-    int64_t D = Map->dim();
-    std::vector<float> Queries;
-    int64_t NumQ = 0;
-    for (size_t I = 0; I != N; ++I)
-      NumQ += static_cast<int64_t>(Targets[I].size());
-    Queries.reserve(static_cast<size_t>(NumQ * D));
-    for (size_t I = 0; I != N; ++I)
-      if (Embs[I].numel() > 0)
-        Queries.insert(Queries.end(), Embs[I].data(),
-                       Embs[I].data() + Embs[I].numel());
-    auto KnnT0 = std::chrono::steady_clock::now();
-    std::vector<NeighborList> Neigh = Index->queryBatch(
-        Queries.data(), NumQ, Knn.K, Knn.EfSearch, Knn.NumThreads);
-    KnnMicros += microsSince(KnnT0);
-    size_t Row = 0;
-    for (size_t F = 0; F != N; ++F)
-      for (size_t I = 0; I != Targets[F].size(); ++I) {
-        PredictionResult R;
-        fillIdentity(R, *Files[F], *Targets[F][I], I, OwnedU.get());
-        R.Candidates = scoreNeighbors(*Map, Neigh[Row++], Knn.P);
-        Out[F].push_back(std::move(R));
-      }
-    return Out;
-  }
-
-  // Classification path: per-file softmax over the closed vocabulary
-  // (row results are independent, so per-file equals one stacked pass).
-  const TypeIdMap &Full = Model->typeVocabs().Full;
-  nn::NoGradGuard NoGrad;
-  for (size_t F = 0; F != N; ++F) {
-    if (Embs[F].numel() == 0)
-      continue;
-    Tensor Probs = Model->classProbs(nn::Value::constant(Embs[F]));
-    for (size_t I = 0; I != Targets[F].size(); ++I) {
-      PredictionResult R;
-      fillIdentity(R, *Files[F], *Targets[F][I], I, OwnedU.get());
-      // Keep the top few candidates for PR sweeps.
-      std::vector<std::pair<float, int>> Ranked;
-      for (int64_t C = 0; C != Probs.cols(); ++C)
-        Ranked.emplace_back(Probs.at(static_cast<int64_t>(I), C),
-                            static_cast<int>(C));
-      size_t Keep = std::min<size_t>(10, Ranked.size());
-      std::partial_sort(Ranked.begin(),
-                        Ranked.begin() + static_cast<long>(Keep), Ranked.end(),
-                        [](const auto &A, const auto &B) {
-                          if (A.first != B.first)
-                            return A.first > B.first;
-                          return A.second < B.second;
-                        });
-      for (size_t C = 0; C != Keep; ++C)
-        R.Candidates.push_back(
-            ScoredType{Full.type(Ranked[C].second), Ranked[C].first});
-      Out[F].push_back(std::move(R));
-    }
-  }
-  return Out;
-}
-
-std::vector<PredictionResult> Predictor::predictAll(ExampleSource &Files) {
-  // Chunked so a whole-corpus call does not materialize one giant batch
-  // graph (and a streamed split never decodes more than a chunk's worth
-  // of shards); results are identical for any chunk size.
-  constexpr size_t ChunkFiles = 32;
-  std::vector<PredictionResult> All;
-  size_t N = Files.size();
-  for (size_t Lo = 0; Lo < N; Lo += ChunkFiles) {
-    size_t Hi = std::min(N, Lo + ChunkFiles);
-    std::vector<ExamplePin> Pins(Hi - Lo);
-    std::vector<const FileExample *> Chunk;
-    Chunk.reserve(Hi - Lo);
-    for (size_t I = Lo; I != Hi; ++I)
-      Chunk.push_back(&Files.get(I, Pins[I - Lo]));
-    for (std::vector<PredictionResult> &Part : predictBatch(Chunk))
-      All.insert(All.end(), std::make_move_iterator(Part.begin()),
-                 std::make_move_iterator(Part.end()));
-  }
-  return All;
 }
 
 std::vector<PredictionResult>

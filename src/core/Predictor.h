@@ -165,13 +165,14 @@ public:
   /// Predicts candidates for every target of \p File.
   std::vector<PredictionResult> predictFile(const FileExample &File);
 
-  /// The one in-memory-source entry point: parses \p Source through
-  /// pyfront/, builds the graph against universe(), and predicts — the
-  /// CLI's `predict --source`, the serve daemon and the LSP all route
-  /// through this, so their digests agree by construction. Requires a
-  /// universe (loaded predictors own one; live-model predictors get one
-  /// via setUniverse). Propagates pyfront parse errors as exceptions,
-  /// like buildExample does.
+  /// The in-memory-source entry point: parses \p Source through
+  /// pyfront/, builds the graph against universe(), and predicts. The
+  /// CLI's `predict --source` and the serve daemon (through
+  /// predictSources) call it; the LSP calls annotateIncremental, which
+  /// runs the same build, embed and answer steps — so all three digests
+  /// agree by construction. Requires a universe (loaded predictors own
+  /// one; live-model predictors get one via setUniverse). Propagates
+  /// pyfront parse errors as exceptions, like buildExample does.
   std::vector<PredictionResult> predictSource(const std::string &Path,
                                               const std::string &Source);
   /// Batched predictSource: builds every example, then answers all of
@@ -183,11 +184,12 @@ public:
   /// The editor loop (one didChange): tombstones \p Path's τmap markers,
   /// re-parses and re-embeds *only this file* (exactly one encoder pass —
   /// embedCalls() observability), answers its targets through the same
-  /// query kernel predictBatch uses against the updated index, then
+  /// answer step predictBatch uses against the updated index, then
   /// re-adds the file's markers tagged with \p Path. Re-adding unchanged
   /// content resurrects the tombstoned rows in place, so the τmap — and
   /// every subsequent prediction — is bit-identical to the pre-edit
-  /// state. Applies the CompactRatio policy afterwards.
+  /// state. Applies the CompactRatio policy afterwards. Throws for a
+  /// classifier predictor (it has no τmap) and without a universe.
   std::vector<PredictionResult>
   annotateIncremental(const std::string &Path, const std::string &Source);
 
@@ -222,10 +224,6 @@ public:
   /// compaction or rebuild.
   void addMarker(const float *Embedding, TypeRef T);
 
-  /// Embeds one file's targets and adds all of them as markers, tagged
-  /// with the file's path (so they participate in the mutation API).
-  void addMarkersFrom(const FileExample &File);
-
   bool isKnn() const { return IsKnn; }
   TypeModel &model() { return *Model; }
   /// The universe predictions are interned in: the one a loaded predictor
@@ -238,9 +236,10 @@ public:
   /// Encoder passes made so far (one per embedded file) — lets tests pin
   /// that the incremental path re-embeds exactly one file per edit.
   uint64_t embedCalls() const { return EmbedCalls; }
-  /// Cumulative wall time spent embedding queries / probing the kNN
-  /// index across predictBatch and annotateIncremental — the serve
-  /// daemon diffs these around each batch for its stats breakdown.
+  /// Cumulative wall time spent in the pipeline's embed step / kNN
+  /// probe, wherever they run: predictBatch (and everything built on it),
+  /// annotateIncremental and the τmap fill. Consumers diff them — the
+  /// serve daemon around each batch for its stats breakdown.
   /// Observability only: timing never influences results.
   uint64_t embedMicros() const { return EmbedMicros; }
   uint64_t knnMicros() const { return KnnMicros; }
@@ -269,6 +268,30 @@ private:
   void rebuildIndex();
   /// Applies KnnOptions::CompactRatio (compact + rebuild when exceeded).
   void maybeCompact();
+
+  // The one inference pipeline: each step is written once, and every
+  // entry point is a sequence of them (docs/ARCHITECTURE.md §5
+  // "Prediction" lists which).
+
+  /// Per-file embeddings ([targets, D]; empty for a file without
+  /// targets) and the targets they embed, index-aligned with the files.
+  struct Embedded {
+    std::vector<Tensor> Embs;
+    std::vector<std::vector<const Target *>> Targets;
+  };
+  /// Parses and builds each source against universe(); throws when there
+  /// is none.
+  std::vector<FileExample> buildExamples(const std::vector<CorpusFile> &Files);
+  /// One single-file encoder pass per file, in inference mode; counts
+  /// EmbedCalls and EmbedMicros.
+  Embedded embed(const std::vector<const FileExample *> &Files);
+  /// Candidates for every embedded target: one kNN probe (timed into
+  /// KnnMicros) and Eq. 5, or the classifier's softmax top ten.
+  std::vector<std::vector<PredictionResult>>
+  answer(const std::vector<const FileExample *> &Files, const Embedded &E);
+  /// Adds one file's embedded targets as τmap markers tagged with \p Path.
+  void addFileMarkers(const std::string &Path, const Tensor &Emb,
+                      const std::vector<const Target *> &Targets);
 
   // Declared first so loaded models/maps (whose TypeRefs point into it)
   // are destroyed before the universe goes away.

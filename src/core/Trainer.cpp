@@ -10,51 +10,13 @@
 
 using namespace typilus;
 
-TypeVocabs typilus::buildTypeVocabs(ExampleSource &Train, TypeUniverse &U) {
-  // One sequential pass: within a shard the examples stream in order, so
-  // at most one decoded shard is pinned at a time.
-  TypeVocabs TV;
-  ExamplePin Pin;
-  for (size_t I = 0, N = Train.size(); I != N; ++I) {
-    const FileExample &F = Train.get(I, Pin);
-    for (const Target &T : F.Targets) {
-      TV.Full.add(T.Type);
-      TV.Erased.add(U.erase(T.Type));
-    }
-  }
-  return TV;
-}
-
-TypeVocabs typilus::buildTypeVocabs(const std::vector<FileExample> &Train,
-                                    TypeUniverse &U) {
-  VectorExampleSource Src(Train);
-  return buildTypeVocabs(Src, U);
-}
-
-LabelVocab typilus::buildLabelVocab(ExampleSource &Train, NodeRepKind Rep) {
-  LabelVocab::Builder B(Rep == NodeRepKind::WholeToken
-                            ? LabelVocab::Mode::WholeLabel
-                            : LabelVocab::Mode::Subtoken);
-  ExamplePin Pin;
-  for (size_t I = 0, N = Train.size(); I != N; ++I)
-    B.addGraph(Train.get(I, Pin).Graph);
-  return B.finish();
-}
-
-LabelVocab typilus::buildLabelVocab(const std::vector<FileExample> &Train,
-                                    NodeRepKind Rep) {
-  VectorExampleSource Src(Train);
-  return buildLabelVocab(Src, Rep);
-}
-
 std::unique_ptr<TypeModel> typilus::makeModel(const ModelConfig &Config,
                                               ExampleSource &Train,
                                               TypeUniverse &U) {
-  // One merged pass feeds both vocabularies, so a sharded train split
-  // decodes each shard once here, not once per vocabulary. Identical
-  // results to the separate builds: the label vocabulary comes from a
-  // sorted histogram and the type vocabulary sees targets in the same
-  // stream order either way.
+  // One pass feeds both vocabularies — the label vocabulary for the
+  // configured node representation and the closed type vocabularies
+  // (full + erased) of the *2Class baselines — so a sharded train split
+  // decodes each shard once.
   LabelVocab::Builder B(Config.NodeRep == NodeRepKind::WholeToken
                             ? LabelVocab::Mode::WholeLabel
                             : LabelVocab::Mode::Subtoken);

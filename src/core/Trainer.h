@@ -68,19 +68,6 @@ struct TrainOptions {
   bool ShardAwareShuffle = false;
 };
 
-/// Builds the classification vocabularies (full + erased types) from the
-/// training split, as the paper's closed-vocabulary baselines do. The
-/// streaming form decodes one residency-bounded window at a time; the
-/// vector form is the one-implicit-shard adapter over it.
-TypeVocabs buildTypeVocabs(ExampleSource &Train, TypeUniverse &U);
-TypeVocabs buildTypeVocabs(const std::vector<FileExample> &Train,
-                           TypeUniverse &U);
-
-/// Builds the label vocabulary for the configured node representation.
-LabelVocab buildLabelVocab(ExampleSource &Train, NodeRepKind Rep);
-LabelVocab buildLabelVocab(const std::vector<FileExample> &Train,
-                           NodeRepKind Rep);
-
 /// Constructs a model wired to vocabularies derived from the training
 /// stream (or, for the convenience overload, from \p DS's train split).
 std::unique_ptr<TypeModel> makeModel(const ModelConfig &Config,
@@ -117,7 +104,6 @@ public:
   bool resumeFrom(const std::string &Path, std::string *Err);
 
   int epochsDone() const { return EpochsDone; }
-  double lastEpochLoss() const { return LastEpochLoss; }
 
 private:
   TypeModel &Model;

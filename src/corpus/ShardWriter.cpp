@@ -115,16 +115,6 @@ bool typilus::readFileExampleGraph(ArchiveCursor &C, FileExample &Ex,
   return true;
 }
 
-bool typilus::readFileExample(ArchiveCursor &C, TypeUniverse &U,
-                              FileExample &Ex, std::string *Err) {
-  if (!readFileExampleGraph(C, Ex, Err))
-    return false;
-  // Ground truths intern through the same path buildExample uses, so a
-  // decoded example is bit-identical to a freshly built one.
-  resolveTargets(Ex, U);
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
 // ShardWriter
 //===----------------------------------------------------------------------===//
@@ -167,12 +157,6 @@ EncodedShard typilus::encodeShard(SplitKind Split,
 }
 
 ShardWriter::ShardWriter(std::string Dir) : Dir(std::move(Dir)) {}
-
-bool ShardWriter::addShard(SplitKind Split,
-                           const std::vector<FileExample> &Examples,
-                           std::string *Err) {
-  return commit(encodeShard(Split, Examples), Err);
-}
 
 bool ShardWriter::commit(const EncodedShard &E, std::string *Err) {
   char Name[32];

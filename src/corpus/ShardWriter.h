@@ -74,11 +74,6 @@ void writeFileExample(ArchiveWriter &W, const FileExample &Ex);
 bool readFileExampleGraph(ArchiveCursor &C, FileExample &Ex,
                           std::string *Err);
 
-/// Reads one example written by writeFileExample and resolves its
-/// targets into \p U. \returns false and sets \p Err on malformed input.
-bool readFileExample(ArchiveCursor &C, TypeUniverse &U, FileExample &Ex,
-                     std::string *Err);
-
 /// Sharded-build knobs.
 struct ShardBuildOptions {
   std::string Dir;        ///< Output directory (created if missing).
@@ -122,18 +117,12 @@ struct EncodedShard {
 EncodedShard encodeShard(SplitKind Split,
                          const std::vector<FileExample> &Examples);
 
-/// Writes one shard set: feed it example chunks split by split, then
-/// finish() the manifest. Chunks become shards in call order, which is
+/// Writes one shard set: commit encoded shards split by split, then
+/// finish() the manifest. Shards are numbered in commit order, which is
 /// the stream order readers see.
 class ShardWriter {
 public:
   explicit ShardWriter(std::string Dir);
-
-  /// Writes \p Examples as the next shard of \p Split and merges its
-  /// type-count sidecar into the global train histogram when \p Split is
-  /// Train. \returns false and sets \p Err on I/O failure.
-  bool addShard(SplitKind Split, const std::vector<FileExample> &Examples,
-                std::string *Err);
 
   /// Flushes an already-encoded shard as the next shard on disk and
   /// merges its sidecar. The commit order defines shard numbering, so

@@ -883,6 +883,10 @@ std::unique_ptr<AnnoyIndex> AnnoyIndex::load(ArchiveCursor &C,
          static_cast<uint64_t>(N.Left) >= NumNodes ||
          static_cast<uint64_t>(N.Right) >= NumNodes))
       return Fail("split node links");
+    // A NaN margin would become a NaN priority in queryOne's heap, which
+    // breaks its strict weak order.
+    if (!std::isfinite(N.Threshold))
+      return Fail("non-finite split threshold");
     N.Items.resize(static_cast<size_t>(NumItems));
     // Bulk read, then validate: same acceptance set as the historical
     // per-item loop, one bounds-checked copy instead of NumItems reads.

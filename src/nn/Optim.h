@@ -38,9 +38,6 @@ public:
   /// tensors do not match this optimizer's parameter shapes.
   bool load(ArchiveCursor &C, std::string *Err);
 
-  float learningRate() const { return Lr; }
-  void setLearningRate(float NewLr) { Lr = NewLr; }
-
 private:
   ParamSet &PS;
   std::vector<Tensor> M, V;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 using namespace typilus;
 
@@ -315,10 +316,48 @@ TEST_F(CoreTest, AnnotateIncrementalReEmbedsExactlyOneFile) {
   EXPECT_EQ(P.embedCalls(), Before + 2);
 }
 
+TEST_F(CoreTest, TimingCountersAdvanceOnEveryServingPath) {
+  // The serve daemon's embed/kNN stats split and perfbench's derived
+  // spans diff embedMicros()/knnMicros() around predictBatch and
+  // annotateIncremental: both counters must move on both paths. Each
+  // call adds whole microseconds, so repeat until both moved (a fast
+  // host may need a few calls before a stage rounds up to one).
+  Predictor P = makeEditorPredictor(*WB, *Run);
+  std::vector<const FileExample *> Batch(8, &WB->DS.Test.front());
+  const CorpusFile *CF = sourceOf(*WB, WB->DS.Test.front().Path);
+  ASSERT_NE(CF, nullptr);
+  for (int Path = 0; Path != 2; ++Path) {
+    uint64_t Embed0 = P.embedMicros(), Knn0 = P.knnMicros();
+    for (int Rep = 0; Rep != 200; ++Rep) {
+      if (P.embedMicros() > Embed0 && P.knnMicros() > Knn0)
+        break;
+      if (Path == 0)
+        P.predictBatch(Batch);
+      else
+        P.annotateIncremental(CF->Path, CF->Source);
+    }
+    EXPECT_GT(P.embedMicros(), Embed0) << (Path ? "annotate" : "batch");
+    EXPECT_GT(P.knnMicros(), Knn0) << (Path ? "annotate" : "batch");
+  }
+}
+
+TEST_F(CoreTest, AnnotateIncrementalRejectsAClassifier) {
+  // The editor loop needs a τmap; a classifier predictor must fail with
+  // an exception (the LSP turns it into one Error diagnostic), never
+  // dereference the missing map.
+  Predictor P = Predictor::classifier(*Run->Model);
+  P.setUniverse(*WB->U);
+  const CorpusFile *CF = sourceOf(*WB, WB->DS.Test.front().Path);
+  ASSERT_NE(CF, nullptr);
+  EXPECT_THROW(P.annotateIncremental(CF->Path, CF->Source),
+               std::runtime_error);
+  EXPECT_EQ(P.removeMarkersForFile(CF->Path), 0u);
+}
+
 TEST_F(CoreTest, FirstAnnotateMatchesPredictSourceDigest) {
   // A file the τmap has never seen: annotateIncremental's answers come
   // from the same query kernel over the same markers as predictSource,
-  // so the digests agree — the LSP smoke test's acceptance criterion.
+  // so the digests agree — what cli/frontends_agree checks end to end.
   Predictor P = makeEditorPredictor(*WB, *Run);
   const CorpusFile *CF = sourceOf(*WB, WB->DS.Test.front().Path);
   ASSERT_NE(CF, nullptr);

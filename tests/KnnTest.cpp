@@ -1307,3 +1307,54 @@ TEST(TypeMapLoadTest, RejectsNonFiniteInt8Scales) {
       &Err))
       << Err;
 }
+
+TEST(AnnoyLoadTest, RejectsNonFiniteSplitThresholds) {
+  // A hand-written forest over two markers: one split node whose two
+  // leaves hold one marker each. A NaN or infinite threshold is rejected;
+  // the finite control loads and answers.
+  TypeUniverse U;
+  TypeMap Map(2);
+  const float A[2] = {-1.f, 0.f}, B[2] = {1.f, 0.f};
+  ASSERT_TRUE(Map.add(A, U.get("int")));
+  ASSERT_TRUE(Map.add(B, U.get("str")));
+  auto Load = [&](float Threshold, std::string *Err) {
+    ArchiveWriter W(1);
+    W.beginChunk("anny");
+    W.writeI32(1); // leaf size
+    W.writeU64(3); // nodes
+    W.writeI32(0); // node 0: split on dimension 0
+    W.writeF32(Threshold);
+    W.writeI32(1);
+    W.writeI32(2);
+    W.writeU64(0);
+    for (int32_t Item : {0, 1}) { // nodes 1 and 2: leaves
+      W.writeI32(-1);
+      W.writeF32(0.f);
+      W.writeI32(-1);
+      W.writeI32(-1);
+      W.writeU64(1);
+      W.writeI32(Item);
+    }
+    W.writeU64(1); // roots
+    W.writeI32(0);
+    W.endChunk();
+    ArchiveReader R;
+    EXPECT_TRUE(R.openBytes(W.bytes(), Err)) << *Err;
+    ArchiveCursor C = R.chunk("anny", Err);
+    return AnnoyIndex::load(C, Map, Err);
+  };
+  for (float Bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+    std::string Err;
+    EXPECT_EQ(Load(Bad, &Err), nullptr) << Bad;
+    EXPECT_EQ(Err, "malformed kNN index snapshot: non-finite split threshold");
+  }
+  std::string Err;
+  std::unique_ptr<AnnoyIndex> Good = Load(0.f, &Err);
+  ASSERT_NE(Good, nullptr) << Err;
+  NeighborList N = Good->query(B, 2);
+  ASSERT_EQ(N.size(), 2u);
+  EXPECT_EQ(N[0].first, 1);
+  EXPECT_EQ(N[1].first, 0);
+}

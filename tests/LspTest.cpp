@@ -370,6 +370,35 @@ TEST_F(LspSessionTest, FullSessionPublishesMatchingDigests) {
   EXPECT_EQ(H.finish(), 0);
 }
 
+TEST_F(LspSessionTest, ClassifierPredictorGetsAnErrorDiagnostic) {
+  // A classifier has no τmap for the editor loop: didOpen publishes one
+  // Error diagnostic saying so, and the session still shuts down with
+  // exit code 0.
+  Predictor P = Predictor::classifier(*Model);
+  P.setUniverse(*WB->U);
+  const CorpusFile &Doc = WB->Files.front();
+  std::string Uri = pathToUri(Doc.Path);
+  SessionHarness H(P);
+  H.request("{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"initialize\","
+            "\"params\":{}}");
+  H.read();
+  H.request(didOpenBody(Uri, Doc.Source));
+  json::Value Diags = H.readUntil("textDocument/publishDiagnostics");
+  const json::Value *List = Diags.find("params")->find("diagnostics");
+  ASSERT_NE(List, nullptr);
+  ASSERT_EQ(List->array().size(), 1u);
+  const json::Value &D = List->array().front();
+  EXPECT_EQ(D.getInt("severity", 0), 1);
+  EXPECT_NE(D.getString("message", "").find("kNN predictor"),
+            std::string::npos)
+      << D.getString("message", "");
+
+  H.request("{\"jsonrpc\":\"2.0\",\"id\":2,\"method\":\"shutdown\"}");
+  EXPECT_EQ(H.read().getInt("id", -1), 2);
+  H.request("{\"jsonrpc\":\"2.0\",\"method\":\"exit\"}");
+  EXPECT_EQ(H.finish(), 0);
+}
+
 TEST_F(LspSessionTest, UnknownMethodGetsMethodNotFound) {
   Predictor P = makePredictor();
   SessionHarness H(P);

@@ -661,9 +661,7 @@ int cmdPredict(const Options &O) {
         return fail("cannot read '" + Src + "'");
       std::ostringstream SS;
       SS << In.rdbuf();
-      FileExample Ex =
-          buildExample(CorpusFile{Src, SS.str()}, U, GraphBuildOptions{});
-      auto Preds = P->predictFile(Ex);
+      auto Preds = P->predictSource(Src, SS.str());
       std::printf("%s: %zu annotatable symbols\n", Src.c_str(), Preds.size());
       printPredictions(Preds, O.Limit);
       // The per-file digest a typilus_serve response for this source must
