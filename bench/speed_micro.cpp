@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Experiments.h"
+#include "nn/Autograd.h"
 #include "nn/Kernels.h"
 #include "nn/Simd.h"
 #include "pyfront/Parser.h"
@@ -23,6 +24,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -163,6 +165,34 @@ BENCHMARK(BM_AnnoyBuild)
     ->Arg(0)
     ->ArgNames({"threads"})
     ->Unit(benchmark::kMillisecond);
+
+/// The GGNN max-pool at the serving shape: ~1650 message rows of width 32
+/// into a 392-node graph, per message-passing step of one file. Arg0 =
+/// taped (0 = inference mode, 1 = the argmax-tracking path backward
+/// needs).
+void BM_ScatterMax(benchmark::State &State) {
+  const bool Taped = State.range(0) != 0;
+  const int64_t Msgs = 1650, D = 32, Rows = 392;
+  Rng R(12);
+  Tensor M = Tensor::randn(Msgs, D, R, 1.f);
+  std::vector<int> Dst(static_cast<size_t>(Msgs));
+  for (int &Nd : Dst)
+    Nd = static_cast<int>(R.uniformInt(Rows));
+  nn::Value P = nn::Value::param(M);
+  std::unique_ptr<nn::NoGradGuard> NoGrad;
+  if (!Taped)
+    NoGrad = std::make_unique<nn::NoGradGuard>();
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(nn::scatterMax(P, Dst, Rows).val().data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * Msgs);
+}
+BENCHMARK(BM_ScatterMax)
+    ->Arg(0)
+    ->Arg(1)
+    ->ArgNames({"taped"})
+    ->Unit(benchmark::kMicrosecond);
 
 //===--------------------------------------------------------------------===//
 // SIMD vs scalar (single thread, so the rows isolate the ISA dispatch win
@@ -453,7 +483,7 @@ int main(int argc, char **argv) {
     Args.push_back(argv[I]);
   }
   std::string Filter = "--benchmark_filter=BM_(MatmulKernel|GgnnStep|"
-                       "KnnQueryBatch|AnnoyBuild|GemmSimd|GemmSmallN|"
+                       "KnnQueryBatch|AnnoyBuild|ScatterMax|GemmSimd|GemmSmallN|"
                        "SigmoidSimd|TanhSimd|SoftmaxSimd|PairwiseL1Simd|TmapScanSimd)";
   if (Quick)
     Args.push_back(Filter.data());

@@ -240,7 +240,9 @@ bool Predictor::setMarkerStore(MarkerStore S, std::string *Err) {
 }
 
 void Predictor::addMarker(const float *Embedding, TypeRef T) {
-  assert(IsKnn && "markers only apply to kNN predictors");
+  if (!IsKnn)
+    throw std::runtime_error("addMarker needs a kNN predictor: a classifier "
+                             "has no type map to update");
   // No index rebuild: rows appended after the index was built are
   // answered by its exact delta scan until the next compaction (or
   // explicit rebuild) folds them in.

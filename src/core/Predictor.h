@@ -221,7 +221,8 @@ public:
   /// Adds a marker to the τmap without retraining — the open-vocabulary
   /// adaptation of Sec. 4.2. The row is appended without rebuilding the
   /// index; queries cover it through the exact delta scan until the next
-  /// compaction or rebuild.
+  /// compaction or rebuild. Throws std::runtime_error on a classifier,
+  /// which has no τmap.
   void addMarker(const float *Embedding, TypeRef T);
 
   bool isKnn() const { return IsKnn; }

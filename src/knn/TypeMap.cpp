@@ -11,6 +11,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <queue>
 
@@ -733,9 +734,11 @@ void ExactIndex::queryBlock(const float *Qs, int64_t QBegin, int64_t QEnd,
     return; // Results entries stay default-empty, like the legacy Keep=0.
   if (Heaps.size() < NumQ)
     Heaps.resize(NumQ);
+  // A heap never holds more than the map, whatever K asks for.
+  const size_t Bound = std::min(static_cast<size_t>(K), N);
   for (size_t Q = 0; Q != NumQ; ++Q) {
     Heaps[Q].clear();
-    Heaps[Q].reserve(static_cast<size_t>(K));
+    Heaps[Q].reserve(Bound);
   }
   const MarkerCodec &Codec = Map.codec();
   for (size_t MB = 0; MB < N; MB += kMarkerTile) {
@@ -963,51 +966,85 @@ int AnnoyIndex::buildTree(std::vector<BuildNode> &Out, std::vector<int> Items,
   return Idx;
 }
 
-NeighborList AnnoyIndex::queryOne(const float *Q, int K) const {
-  if (Map.size() == 0)
+NeighborList AnnoyIndex::queryOne(const float *Q, int K,
+                                  ProbeScratch &S) const {
+  if (Map.size() == 0 || K <= 0)
     return {};
-  const int SearchK = static_cast<int>(Roots.size()) * K * 4;
+  // Taken in 64 bits and clamped: once every marker is a candidate a
+  // larger bound collects nothing more.
+  const size_t SearchK = static_cast<size_t>(
+      std::min(static_cast<int64_t>(Roots.size()) * K * 4,
+               static_cast<int64_t>(Map.size())));
   // Best-first traversal over all trees: priority = margin to the split
-  // plane (0 within the chosen side).
+  // plane (0 within the chosen side), ties broken by node index. Each node
+  // is pushed at most once, so this is a strict total order over the heap
+  // and the pop sequence is fixed by it alone. Descending into the Near
+  // child directly whenever it orders before the heap top (Far already
+  // pushed) is exactly the pop that would come next, minus the push/pop.
   using Entry = std::pair<float, int>; // (priority, node)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> Queue;
-  for (int Root : Roots)
-    Queue.emplace(0.f, Root);
-  std::vector<char> Seen(Map.size(), 0);
-  std::vector<int> Candidates;
-  while (!Queue.empty() &&
-         static_cast<int>(Candidates.size()) < SearchK) {
-    auto [Prio, NodeIdx] = Queue.top();
-    Queue.pop();
-    const BuildNode &N = Nodes[static_cast<size_t>(NodeIdx)];
-    if (N.SplitDim < 0) {
-      // Tombstoned rows stay in the leaves until compact(); skipping them
-      // here (a no-op on a tombstone-free map) is what makes removal
-      // effective without touching the forest.
-      for (int It : N.Items)
-        if (!Seen[static_cast<size_t>(It)]) {
-          Seen[static_cast<size_t>(It)] = 1;
-          if (Map.isLive(static_cast<size_t>(It)))
-            Candidates.push_back(It);
+  const std::greater<Entry> MinFirst;
+  std::vector<Entry> &Heap = S.Heap;
+  Heap.clear();
+  for (int Root : Roots) {
+    Heap.emplace_back(0.f, Root);
+    std::push_heap(Heap.begin(), Heap.end(), MinFirst);
+  }
+  if (S.SeenAt.size() < Map.size())
+    S.SeenAt.resize(Map.size(), 0);
+  if (++S.Generation == 0) { // wrap: clear the stamps once per 2^32 probes
+    std::fill(S.SeenAt.begin(), S.SeenAt.end(), 0u);
+    S.Generation = 1;
+  }
+  // One spare slot: a leaf writes its item before deciding to keep it.
+  if (S.Candidates.size() < Map.size() + 1)
+    S.Candidates.resize(Map.size() + 1);
+  int *Cand = S.Candidates.data();
+  size_t Count = 0;
+  while (!Heap.empty() && Count < SearchK) {
+    std::pop_heap(Heap.begin(), Heap.end(), MinFirst);
+    auto [Prio, NodeIdx] = Heap.back();
+    Heap.pop_back();
+    for (;;) {
+      const BuildNode &N = Nodes[static_cast<size_t>(NodeIdx)];
+      if (N.SplitDim < 0) {
+        // Tombstoned rows stay in the leaves until compact(); skipping
+        // them here (a no-op on a tombstone-free map) is what makes
+        // removal effective without touching the forest.
+        for (int It : N.Items) {
+          const size_t I = static_cast<size_t>(It);
+          const bool Fresh = S.SeenAt[I] != S.Generation;
+          S.SeenAt[I] = S.Generation;
+          Cand[Count] = It;
+          Count += Fresh & Map.isLive(I);
         }
-      continue;
+        break;
+      }
+      float Margin = Q[N.SplitDim] - N.Threshold;
+      int Near = Margin < 0 ? N.Left : N.Right;
+      int Far = Margin < 0 ? N.Right : N.Left;
+      Heap.emplace_back(Prio + std::fabs(Margin), Far);
+      std::push_heap(Heap.begin(), Heap.end(), MinFirst);
+      if (Entry(Prio, Near) < Heap.front()) {
+        NodeIdx = Near;
+        continue;
+      }
+      Heap.emplace_back(Prio, Near);
+      std::push_heap(Heap.begin(), Heap.end(), MinFirst);
+      break;
     }
-    float Margin = Q[N.SplitDim] - N.Threshold;
-    int Near = Margin < 0 ? N.Left : N.Right;
-    int Far = Margin < 0 ? N.Right : N.Left;
-    Queue.emplace(Prio, Near);
-    Queue.emplace(Prio + std::fabs(Margin), Far);
   }
   // Exact re-rank of the candidate union (over the stored representation).
-  NeighborList Result;
-  Result.reserve(Candidates.size());
-  for (int It : Candidates)
-    Result.emplace_back(It, Map.l1DistanceTo(Q, static_cast<size_t>(It)));
-  size_t Keep = std::min<size_t>(static_cast<size_t>(K), Result.size());
-  std::partial_sort(Result.begin(), Result.begin() + static_cast<long>(Keep),
-                    Result.end(), neighborLess);
-  Result.resize(Keep);
-  return Result;
+  const nn::simd::KernelTable &KT = nn::simd::active();
+  const MarkerCodec &Codec = Map.codec();
+  NeighborList &Scored = S.Scored;
+  Scored.resize(Count);
+  for (size_t C = 0; C != Count; ++C)
+    Scored[C] = {Cand[C],
+                 Codec.l1(KT, Q, Map.row(static_cast<size_t>(Cand[C])))};
+  const size_t Keep = std::min(static_cast<size_t>(K), Count);
+  std::partial_sort(Scored.begin(), Scored.begin() + static_cast<long>(Keep),
+                    Scored.end(), neighborLess);
+  return NeighborList(Scored.begin(), Scored.begin() + static_cast<long>(Keep));
 }
 
 std::vector<NeighborList> AnnoyIndex::queryIndexed(const float *Qs,
@@ -1019,8 +1056,9 @@ std::vector<NeighborList> AnnoyIndex::queryIndexed(const float *Qs,
   parallelFor(
       0, NumQueries, 1,
       [&](int64_t Lo, int64_t Hi) {
+        ProbeScratch S; // reused across this chunk's queries
         for (int64_t I = Lo; I != Hi; ++I)
-          Results[static_cast<size_t>(I)] = queryOne(Qs + I * D, K);
+          Results[static_cast<size_t>(I)] = queryOne(Qs + I * D, K, S);
       },
       MaxWays);
   return Results;
@@ -1206,14 +1244,18 @@ NeighborList HnswIndex::queryWithScratch(const float *Q, int K, int EfSearch,
                                          SearchScratch &S) const {
   if (EntryPoint < 0 || K <= 0)
     return {};
-  int Ef = EfSearch <= 0 ? std::max(4 * K, 64) : EfSearch;
-  Ef = std::max(Ef, K);
+  // Taken in 64 bits and clamped to the graph: a beam at least as wide as
+  // the node count never evicts, so any wider one explores the same nodes.
+  int64_t Ef = EfSearch <= 0
+                   ? std::max<int64_t>(4 * static_cast<int64_t>(K), 64)
+                   : EfSearch;
+  Ef = std::min(std::max<int64_t>(Ef, K), static_cast<int64_t>(Nodes.size()));
   int Ep = EntryPoint;
   float EpDist = Map.l1DistanceTo(Q, static_cast<size_t>(Ep));
   for (int Layer = MaxLevel; Layer > 0; --Layer)
     descendLayer(Q, Ep, EpDist, Layer);
   std::vector<std::pair<float, int>> Found;
-  searchLayer(Q, Ep, EpDist, Ef, 0, S, Found);
+  searchLayer(Q, Ep, EpDist, static_cast<int>(Ef), 0, S, Found);
   // Found is already ascending under (distance, index) with exact
   // distances; keep the first K live rows (tombstones route but never
   // surface — same contract as the other indexes).

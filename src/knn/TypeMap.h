@@ -472,10 +472,21 @@ private:
   /// Builds one subtree into \p Out; returns its index therein.
   int buildTree(std::vector<BuildNode> &Out, std::vector<int> Items, Rng &R,
                 int Depth) const;
+  /// Reusable probe state, one per queryIndexed chunk: the traversal heap,
+  /// the candidate buffer, a generation-stamped seen-array (no O(N) clear
+  /// per query) and the re-rank buffer.
+  struct ProbeScratch {
+    std::vector<std::pair<float, int>> Heap;
+    std::vector<int> Candidates;
+    std::vector<uint32_t> SeenAt;
+    uint32_t Generation = 0;
+    NeighborList Scored;
+  };
+
   std::vector<NeighborList> queryIndexed(const float *Qs, int64_t NumQueries,
                                          int K, int Budget,
                                          int MaxWays) const override;
-  NeighborList queryOne(const float *Q, int K) const;
+  NeighborList queryOne(const float *Q, int K, ProbeScratch &S) const;
 
   int LeafSize;
   std::vector<BuildNode> Nodes;

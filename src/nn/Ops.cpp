@@ -433,34 +433,39 @@ Value nn::scatterMax(Value Msgs, const std::vector<int> &Dst,
   // Destination-conflicting writes: serial, in edge order. The first
   // message into a row is copied, later ones win only where strictly
   // greater. Backward needs the argmax message per (row, dim), -1 = none
-  // (output stays 0); inference only needs to know whether a row has
-  // been written, which every message does for all D columns at once.
+  // (output stays 0); the first message is the argmax of all D columns at
+  // once. Later messages go through selects, not branches: the comparison
+  // outcome is data-dependent and mispredicts, while `Msg > Row ? Msg :
+  // Row` is one max instruction (maxss/maxps return the second operand on
+  // NaN and on equal ±0 — exactly when the branch kept Row), and the
+  // argmax update is the same comparison as an integer mask.
   const bool KeepArg = GradEnabled && Msgs.needsGrad();
   std::vector<int> Arg;
-  std::vector<char> Seen;
   if (KeepArg)
     Arg.assign(static_cast<size_t>(NumRows * D), -1);
-  else
-    Seen.assign(static_cast<size_t>(NumRows), 0);
+  std::vector<char> Seen(static_cast<size_t>(NumRows), 0);
   for (size_t E = 0; E != Dst.size(); ++E) {
     int Nd = Dst[E];
     assert(Nd >= 0 && Nd < NumRows && "scatter destination out of range");
     const float *Msg = TM.data() + static_cast<int64_t>(E) * D;
     float *Row = Out.data() + Nd * D;
-    if (KeepArg) {
-      int *Slot = Arg.data() + Nd * D;
-      for (int64_t J = 0; J != D; ++J)
-        if (Slot[J] < 0 || Msg[J] > Row[J]) {
-          Row[J] = Msg[J];
-          Slot[J] = static_cast<int>(E);
-        }
-    } else if (!Seen[static_cast<size_t>(Nd)]) {
+    int *Slot = KeepArg ? Arg.data() + Nd * D : nullptr;
+    const int Edge = static_cast<int>(E);
+    if (!Seen[static_cast<size_t>(Nd)]) {
       Seen[static_cast<size_t>(Nd)] = 1;
       std::memcpy(Row, Msg, static_cast<size_t>(D) * sizeof(float));
+      if (KeepArg)
+        std::fill_n(Slot, D, Edge);
+    } else if (KeepArg) {
+      for (int64_t J = 0; J != D; ++J) {
+        const float M = Msg[J], R = Row[J];
+        const int Take = -static_cast<int>(M > R);
+        Row[J] = M > R ? M : R;
+        Slot[J] ^= (Slot[J] ^ Edge) & Take;
+      }
     } else {
       for (int64_t J = 0; J != D; ++J)
-        if (Msg[J] > Row[J])
-          Row[J] = Msg[J];
+        Row[J] = Msg[J] > Row[J] ? Msg[J] : Row[J];
     }
   }
   auto N = makeOut(std::move(Out), {Msgs});

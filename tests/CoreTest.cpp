@@ -354,6 +354,16 @@ TEST_F(CoreTest, AnnotateIncrementalRejectsAClassifier) {
   EXPECT_EQ(P.removeMarkersForFile(CF->Path), 0u);
 }
 
+TEST_F(CoreTest, AddMarkerRejectsAClassifier) {
+  // Same contract as annotateIncremental: an exception, never a write
+  // through the missing map.
+  Predictor P = Predictor::classifier(*Run->Model);
+  std::vector<float> Embedding(
+      static_cast<size_t>(Run->Model->config().HiddenDim), 0.f);
+  EXPECT_THROW(P.addMarker(Embedding.data(), WB->U->get("int")),
+               std::runtime_error);
+}
+
 TEST_F(CoreTest, FirstAnnotateMatchesPredictSourceDigest) {
   // A file the τmap has never seen: annotateIncremental's answers come
   // from the same query kernel over the same markers as predictSource,

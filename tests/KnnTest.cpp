@@ -1358,3 +1358,116 @@ TEST(AnnoyLoadTest, RejectsNonFiniteSplitThresholds) {
   EXPECT_EQ(N[0].first, 1);
   EXPECT_EQ(N[1].first, 0);
 }
+
+namespace {
+
+/// Markers on a coarse grid (coordinates in {-1, -0.5, 0, 0.5, 1}), each
+/// point stored under one to three types and tagged with one of ten
+/// files: duplicated coordinates (degenerate splits), split thresholds
+/// that grid queries hit exactly (zero margins) and tied priorities
+/// everywhere.
+struct GridMapFixture {
+  TypeUniverse U;
+  TypeMap Map;
+  std::vector<std::vector<float>> Points;
+
+  GridMapFixture(int NumPoints, int D, uint64_t Seed) : Map(D) {
+    Rng R(Seed);
+    for (int P = 0; P != NumPoints; ++P) {
+      std::vector<float> X(static_cast<size_t>(D));
+      for (float &V : X)
+        V = 0.5f * static_cast<float>(static_cast<int>(R.uniformInt(5)) - 2);
+      int Copies = 1 + static_cast<int>(R.uniformInt(3));
+      for (int C = 0; C != Copies; ++C)
+        Map.add(X.data(), U.get(strformat("T%d", C)),
+                strformat("proj/f%d.py", P % 10));
+      Points.push_back(std::move(X));
+    }
+  }
+};
+
+/// Every query of \p Qs at every K agrees with the priority-queue probe,
+/// one at a time and as one batch.
+void expectMatchesReferenceProbe(const TypeMap &Map, const AnnoyIndex &Idx,
+                                 const std::vector<float> &Qs,
+                                 const std::string &What) {
+  ReferenceAnnoy Ref(Map, Idx);
+  const int D = Map.dim();
+  const int64_t NumQ = static_cast<int64_t>(Qs.size()) / D;
+  for (int K : {1, 10, 64, static_cast<int>(Map.size()) + 7}) {
+    std::vector<NeighborList> Batch = Idx.queryBatch(Qs.data(), NumQ, K);
+    ASSERT_EQ(Batch.size(), static_cast<size_t>(NumQ));
+    for (int64_t Q = 0; Q != NumQ; ++Q) {
+      NeighborList Want = Ref.query(Qs.data() + Q * D, K);
+      ASSERT_FALSE(Want.empty()) << What;
+      EXPECT_EQ(Batch[static_cast<size_t>(Q)], Want)
+          << What << " K=" << K << " query " << Q;
+      EXPECT_EQ(Idx.query(Qs.data() + Q * D, K), Want)
+          << What << " K=" << K << " query " << Q;
+    }
+  }
+}
+
+} // namespace
+
+TEST(AnnoyProbeTest, MatchesThePriorityQueueProbe) {
+  const int D = 6;
+  for (MarkerStore S : {MarkerStore::F32, MarkerStore::F16, MarkerStore::Int8})
+    for (uint64_t Seed : {61u, 62u}) {
+      GridMapFixture F(300, D, Seed);
+      F.Map.quantize(S);
+      // Queries: the grid points themselves (zero margins), midpoints
+      // between them, and off-grid normals.
+      std::vector<float> Qs;
+      Rng R(Seed + 100);
+      for (size_t P = 0; P < F.Points.size(); P += 7) {
+        Qs.insert(Qs.end(), F.Points[P].begin(), F.Points[P].end());
+        for (int J = 0; J != D; ++J)
+          Qs.push_back(0.5f * (F.Points[P][static_cast<size_t>(J)] +
+                               F.Points[P + 1][static_cast<size_t>(J)]));
+        for (int J = 0; J != D; ++J)
+          Qs.push_back(static_cast<float>(R.normal()));
+      }
+      std::string What = std::string(markerStoreName(S)) + " seed " +
+                         std::to_string(Seed);
+      AnnoyIndex Idx(F.Map, 8, 16, Seed);
+      expectMatchesReferenceProbe(F.Map, Idx, Qs, What + " fresh");
+
+      // Tombstones: leaves keep the dead rows, the probe must skip them.
+      ASSERT_GT(F.Map.removeMarkersForFile("proj/f0.py"), 0u);
+      ASSERT_GT(F.Map.removeMarkersForFile("proj/f3.py"), 0u);
+      expectMatchesReferenceProbe(F.Map, Idx, Qs, What + " tombstoned");
+
+      // Appended delta rows, plus one resurrected tombstone.
+      for (int P = 0; P != 12; ++P) {
+        std::vector<float> X(static_cast<size_t>(D));
+        for (float &V : X)
+          V = static_cast<float>(R.normal());
+        ASSERT_TRUE(F.Map.add(X.data(), F.U.get("Delta"), "proj/new.py"));
+        Qs.insert(Qs.end(), X.begin(), X.end());
+      }
+      ASSERT_TRUE(F.Map.add(F.Points[0].data(), F.U.get("T0"), "proj/f0.py"));
+      ASSERT_GT(F.Map.size(), Idx.indexedMarkers());
+      expectMatchesReferenceProbe(F.Map, Idx, Qs, What + " with delta");
+    }
+}
+
+TEST(KnnIndexTest, AKAboveTheMarkerCountRanksEveryLiveMarker) {
+  // Search bounds derived from K (Annoy's NumTrees·K·4, HNSW's 4·K beam,
+  // the exact scan's heap reservation) are taken in 64 bits and clamped
+  // to the map, so a huge K answers with every live marker, ranked, and
+  // allocates nothing K-sized.
+  TaggedMapFixture F(4, 15, 5, 8, 71);
+  ASSERT_GT(F.Map.removeMarkersForFile(F.Files[1]), 0u);
+  for (KnnIndexKind Kind :
+       {KnnIndexKind::Exact, KnnIndexKind::Annoy, KnnIndexKind::Hnsw}) {
+    std::unique_ptr<KnnIndex> Idx = buildIndex(Kind, F.Map);
+    for (int K : {1 << 26, std::numeric_limits<int>::max()})
+      for (size_t Q = 0; Q < F.Points.size(); Q += 11) {
+        NeighborList Got = Idx->query(F.Points[Q].data(), K);
+        EXPECT_EQ(Got.size(), F.Map.liveSize()) << knnIndexName(Kind);
+        EXPECT_EQ(Got, referenceKnn(F.Map, F.Points[Q].data(), K))
+            << knnIndexName(Kind) << " K=" << K << " query " << Q;
+      }
+  }
+}

@@ -1174,3 +1174,109 @@ TEST(GemmSmallNTest, OtherShapesKeepTheAxpyRowLoop) {
     for (bool Simd : {false, true})
       expectGemmMatchesAxpyLoop(Simd, 7, N, 48, R);
 }
+
+namespace {
+
+/// The historical branchy scatterMax loops, kept as the bit-identity
+/// reference for the select-based ones: \p Out gets the pooled rows and,
+/// with \p KeepArg, \p Arg the argmax message per (row, dim) (-1 = none).
+void legacyScatterMax(const Tensor &Msgs, const std::vector<int> &Dst,
+                      int64_t NumRows, bool KeepArg, Tensor &Out,
+                      std::vector<int> &Arg) {
+  const int64_t D = Msgs.cols();
+  Out = Tensor(NumRows, D);
+  Arg.assign(static_cast<size_t>(NumRows * D), -1);
+  std::vector<char> Seen(static_cast<size_t>(NumRows), 0);
+  for (size_t E = 0; E != Dst.size(); ++E) {
+    const float *Msg = Msgs.data() + static_cast<int64_t>(E) * D;
+    float *Row = Out.data() + Dst[E] * D;
+    if (KeepArg) {
+      int *Slot = Arg.data() + Dst[E] * D;
+      for (int64_t J = 0; J != D; ++J)
+        if (Slot[J] < 0 || Msg[J] > Row[J]) {
+          Row[J] = Msg[J];
+          Slot[J] = static_cast<int>(E);
+        }
+    } else if (!Seen[static_cast<size_t>(Dst[E])]) {
+      Seen[static_cast<size_t>(Dst[E])] = 1;
+      std::memcpy(Row, Msg, static_cast<size_t>(D) * sizeof(float));
+    } else {
+      for (int64_t J = 0; J != D; ++J)
+        if (Msg[J] > Row[J])
+          Row[J] = Msg[J];
+    }
+  }
+}
+
+} // namespace
+
+TEST(ScatterMaxTest, MatchesTheBranchyLoopsBitForBit) {
+  // Rows 0-3 receive messages, rows 4-7 none. Each case plants one
+  // edge value the select must treat exactly like the branch did.
+  const float NaN = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<int> Dst{0, 2, 0, 1, 2, 0, 3, 1, 2, 0};
+  const int64_t NumRows = 8, D = 8;
+  struct Case {
+    const char *Name;
+    std::function<void(Tensor &)> Plant;
+  };
+  const std::vector<Case> Cases = {
+      {"random", [](Tensor &) {}},
+      {"NaN in a row's first message",
+       [&](Tensor &M) {
+         M.at(0, 1) = NaN; // first into row 0
+         M.at(3, 4) = NaN; // first into row 1
+       }},
+      {"NaN in a later message",
+       [&](Tensor &M) {
+         M.at(2, 1) = NaN; // row 0, second message
+         M.at(9, 7) = NaN; // row 0, last message
+         M.at(4, 0) = NaN; // row 2, second message
+       }},
+      {"+0 and -0",
+       [](Tensor &M) {
+         for (int64_t E = 0; E != M.rows(); ++E)
+           for (int64_t J = 0; J != 4; ++J)
+             M.at(E, J) = (E + J) % 2 ? -0.0f : 0.0f;
+       }},
+      {"exact ties keep the first message",
+       [](Tensor &M) {
+         for (int64_t E = 0; E != M.rows(); ++E)
+           for (int64_t J = 0; J != D; ++J)
+             M.at(E, J) = J % 3 == 0 ? 1.5f : M.at(E, J);
+       }},
+  };
+  Rng R(97);
+  for (const Case &C : Cases) {
+    Tensor Msgs = randomTensor(static_cast<int64_t>(Dst.size()), D, R);
+    C.Plant(Msgs);
+    Tensor WantOut;
+    std::vector<int> WantArg;
+    // Inference mode.
+    legacyScatterMax(Msgs, Dst, NumRows, /*KeepArg=*/false, WantOut, WantArg);
+    {
+      NoGradGuard NoGrad;
+      EXPECT_TRUE(sameBits(WantOut,
+                           scatterMax(Value::param(Msgs), Dst, NumRows).val()))
+          << C.Name;
+    }
+    // Taped mode: values, then the gradient the argmax routes. The upstream
+    // gradient is small integers over a power-of-two mean, so every
+    // expected entry is exact.
+    legacyScatterMax(Msgs, Dst, NumRows, /*KeepArg=*/true, WantOut, WantArg);
+    Tensor Upstream(NumRows, D);
+    for (int64_t I = 0; I != Upstream.numel(); ++I)
+      Upstream[I] = static_cast<float>(I % 7 + 1);
+    Value P = Value::param(Msgs);
+    Value H = scatterMax(P, Dst, NumRows);
+    EXPECT_TRUE(sameBits(WantOut, H.val())) << C.Name;
+    backward(meanAll(mul(H, Value::constant(Upstream))));
+    Tensor WantGrad(static_cast<int64_t>(Dst.size()), D);
+    const float InvN = 1.f / static_cast<float>(NumRows * D);
+    for (int64_t Row = 0; Row != NumRows; ++Row)
+      for (int64_t J = 0; J != D; ++J)
+        if (int E = WantArg[static_cast<size_t>(Row * D + J)]; E >= 0)
+          WantGrad.at(E, J) += Upstream.at(Row, J) * InvN;
+    EXPECT_TRUE(sameBits(WantGrad, P.grad())) << C.Name;
+  }
+}
